@@ -69,10 +69,18 @@ inline int run_micro_bench(const std::string& bench_name, int argc, char** argv)
     args.reserve(static_cast<std::size_t>(argc) + 1);
     for (int i = 0; i < argc; ++i) {
         constexpr std::string_view kFlag = "--bench-json=";
+        constexpr std::string_view kMinTime = "--benchmark_min_time=";
         const std::string_view arg = argv[i];
         if (arg.substr(0, kFlag.size()) == kFlag) {
             json_path = std::string(arg.substr(kFlag.size()));
             continue;
+        }
+        // Newer Google Benchmark releases spell the minimum time "0.05s";
+        // 1.7 accepts only a bare number of seconds, so drop the suffix
+        // (argv strings are writable).
+        if (arg.substr(0, kMinTime.size()) == kMinTime && arg.size() > kMinTime.size() + 1 &&
+            arg.back() == 's') {
+            argv[i][arg.size() - 1] = '\0';
         }
         args.push_back(argv[i]);
     }

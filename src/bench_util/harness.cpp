@@ -50,14 +50,19 @@ namespace {
 double calibration_kernel_seconds(unsigned threads) {
     ThreadPool pool(threads);
     constexpr std::uint64_t kWork = 200'000'000;
-    volatile double sink = 0;
+    // One partial sum per thread, reduced after the join (a shared sink
+    // would be a data race); the volatile sink keeps the sums live.
+    std::vector<double> partial(pool.num_threads(), 0.0);
     Timer t;
-    pool.for_chunks(0, kWork, [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+    pool.for_chunks(0, kWork, [&](unsigned tid, std::uint64_t lo, std::uint64_t hi) {
         double s = 0;
         for (std::uint64_t i = lo; i < hi; ++i) s += static_cast<double>(i & 1023) * 1e-9;
-        sink = sink + s;
+        partial[tid] = s;
     });
-    return t.elapsed_s();
+    const double seconds = t.elapsed_s();
+    volatile double sink = 0;
+    for (const double s : partial) sink = sink + s;
+    return seconds;
 }
 
 } // namespace

@@ -16,8 +16,8 @@ NaiveParES::NaiveParES(const EdgeList& initial, const ChainConfig& config)
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     for (std::uint64_t i = 0; i < initial.num_edges(); ++i) {
         edges_[i].store(initial.key(i), std::memory_order_relaxed);
-        set_.insert_unique(initial.key(i));
     }
+    set_.insert_unique_all(*pool_, initial.keys());
 }
 
 NaiveParES::NaiveParES(const ChainState& state, const ChainConfig& config)
@@ -84,7 +84,7 @@ void NaiveParES::run_supersteps(std::uint64_t count, RunObserver* observer,
         stats_.rejected_loop += rloop.load();
         stats_.rejected_edge += redge.load();
         ++stats_.supersteps;
-        set_.maybe_rebuild(); // quiescent point between supersteps
+        set_.maybe_rebuild(*pool_); // quiescent point between supersteps
         snapshot_valid_ = false;
         if (observer != nullptr) observer->on_superstep(replicate, *this);
     }

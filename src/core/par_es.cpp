@@ -43,7 +43,6 @@ void MinIndexMap::reset(ThreadPool& pool) {
                                     touched_[t].clear();
                                 }
                             });
-    std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 ParES::ParES(const EdgeList& initial, const ChainConfig& config)
@@ -55,7 +54,7 @@ ParES::ParES(const EdgeList& initial, const ChainConfig& config)
       runner_(initial.num_edges(), config.prefetch) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    for (const edge_key_t k : edges_.keys()) set_.insert_unique(k);
+    set_.insert_unique_all(*pool_, edges_.keys());
 }
 
 ParES::ParES(const ChainState& state, const ChainConfig& config)
@@ -161,7 +160,7 @@ void ParES::run_switch_range(std::uint64_t end) {
         stats_.later_rounds_seconds += result.later_rounds_seconds;
         ++windows_executed_;
 
-        set_.maybe_rebuild();
+        set_.maybe_rebuild(*pool_);
         next_switch_ = t;
     }
 }

@@ -15,7 +15,7 @@ ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
       runner_(initial.num_edges() / 2, config.prefetch) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    for (const edge_key_t k : edges_.keys()) set_.insert_unique(k);
+    set_.insert_unique_all(*pool_, edges_.keys());
 }
 
 ParGlobalES::ParGlobalES(const ChainState& state, const ChainConfig& config)
@@ -64,13 +64,14 @@ void ParGlobalES::run_supersteps(std::uint64_t count, RunObserver* observer,
             stats_.later_rounds_seconds += result.later_rounds_seconds;
         }
         ++stats_.supersteps;
-        set_.maybe_rebuild();
+        set_.maybe_rebuild(*pool_);
         if (observer != nullptr) observer->on_superstep(replicate, *this);
     }
 }
 
 void ParGlobalES::run_global_switch_sequential() {
     auto& keys = edges_.keys();
+    EdgeSetDelta delta;
     for (const Switch& sw : switch_scratch_) {
         const edge_key_t k1 = keys[sw.i];
         const edge_key_t k2 = keys[sw.j];
@@ -83,10 +84,10 @@ void ParGlobalES::run_global_switch_sequential() {
             const edge_key_t k3 = edge_key(t3);
             const edge_key_t k4 = edge_key(t4);
             if (k3 != k1 && k3 != k2) {
-                set_.erase_unique(k1);
-                set_.erase_unique(k2);
-                set_.insert_unique(k3);
-                set_.insert_unique(k4);
+                set_.erase_unique(k1, delta);
+                set_.erase_unique(k2, delta);
+                set_.insert_unique(k3, delta);
+                set_.insert_unique(k4, delta);
             }
             keys[sw.i] = k3;
             keys[sw.j] = k4;
@@ -101,6 +102,7 @@ void ParGlobalES::run_global_switch_sequential() {
             break;
         }
     }
+    set_.commit(delta);
 }
 
 } // namespace gesmc

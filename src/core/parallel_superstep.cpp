@@ -181,23 +181,28 @@ SuperstepResult SuperstepRunner::run(ThreadPool& pool, std::vector<edge_key_t>& 
 
     // ---- Apply the edge-set delta: removals first, then insertions (an
     // edge erased by one legal switch may be re-inserted by a later one).
+    // Each chunk publishes its counter changes with one commit.
     pool.for_chunks(0, l, [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        EdgeSetDelta delta;
         for (std::uint64_t k = lo; k < hi; ++k) {
             if (status_[k].load(std::memory_order_relaxed) != SwitchStatus::kLegal) continue;
             if (tgt_[2 * k] == src_[2 * k] || tgt_[2 * k] == src_[2 * k + 1]) continue;
-            const bool e1 = set.erase_unique(src_[2 * k]);
-            const bool e2 = set.erase_unique(src_[2 * k + 1]);
+            const bool e1 = set.erase_unique(src_[2 * k], delta);
+            const bool e2 = set.erase_unique(src_[2 * k + 1], delta);
             GESMC_CHECK(e1 && e2, "legal switch erased a missing edge");
         }
+        set.commit(delta);
     });
     pool.for_chunks(0, l, [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        EdgeSetDelta delta;
         for (std::uint64_t k = lo; k < hi; ++k) {
             if (status_[k].load(std::memory_order_relaxed) != SwitchStatus::kLegal) continue;
             if (tgt_[2 * k] == src_[2 * k] || tgt_[2 * k] == src_[2 * k + 1]) continue;
-            const bool i1 = set.insert_unique(tgt_[2 * k]);
-            const bool i2 = set.insert_unique(tgt_[2 * k + 1]);
+            const bool i1 = set.insert_unique(tgt_[2 * k], delta);
+            const bool i2 = set.insert_unique(tgt_[2 * k + 1], delta);
             GESMC_CHECK(i1 && i2, "legal switch inserted an existing edge");
         }
+        set.commit(delta);
     });
 
     return result;

@@ -33,11 +33,19 @@
 ///    one legal inserter / eraser per edge).  On the locked backend they
 ///    skip the stripe lock; on the lock-free backend they are the same code
 ///    as insert / erase;
+///  * counter contract: bulk writers pass an EdgeSetDelta to the _unique
+///    calls and publish it with one commit() per chunk, so no per-key
+///    read-modify-write hits the shared live/tombstone counters.  size()
+///    and needs_rebuild() are therefore exact only at quiescent points
+///    (every other call, the single-key _unique calls included, commits
+///    its own change before returning);
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    ticket semantics of NaiveParES (§5.1).  Bucket handles are
 ///    invalidated by rebuild(), so no ticket may be held across one;
-///  * rebuild() only at quiescent points.  On the lock-free backend,
-///    readers that may overlap a rebuild hold a ReadGuard.
+///  * rebuild() only at quiescent points; chains pass their pool, which
+///    gathers, clears and reinserts the live keys in parallel.  On the
+///    lock-free backend, readers that may overlap a rebuild hold a
+///    ReadGuard.
 ///
 /// Tombstones accumulate under erase; when their share crosses a threshold
 /// (or, lock-free only, a placement overflows the PSL bound), callers
@@ -48,12 +56,14 @@
 #include "hashing/epoch.hpp"
 #include "hashing/locked_edge_set.hpp"
 #include "hashing/lockfree_edge_set.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "util/check.hpp"
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace gesmc {
 
@@ -90,6 +100,10 @@ public:
     [[nodiscard]] std::uint64_t bucket_count() const noexcept {
         return locked_ ? locked_->bucket_count() : lockfree_->bucket_count();
     }
+    /// Erased buckets awaiting the next rebuild.
+    [[nodiscard]] std::uint64_t tombstones() const noexcept {
+        return locked_ ? locked_->tombstones() : lockfree_->tombstones();
+    }
 
     /// Lock-free existence query (ignores lock bits). key in (0, 2^56-1).
     [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
@@ -112,15 +126,51 @@ public:
     }
 
     /// Insert under the no-concurrent-same-key contract. Returns false if
-    /// present.
-    bool insert_unique(std::uint64_t key) {
-        return locked_ ? locked_->insert_unique(key) : lockfree_->insert_unique(key);
+    /// present.  The counter change goes to `delta`, not to size(), until
+    /// commit(delta).
+    bool insert_unique(std::uint64_t key, EdgeSetDelta& delta) {
+        return locked_ ? locked_->insert_unique(key, delta)
+                       : lockfree_->insert_unique(key, delta);
     }
 
     /// Erase under the no-concurrent-same-key contract. Returns false if
-    /// absent.
+    /// absent.  The counter change goes to `delta` until commit(delta).
+    bool erase_unique(std::uint64_t key, EdgeSetDelta& delta) {
+        return locked_ ? locked_->erase_unique(key, delta)
+                       : lockfree_->erase_unique(key, delta);
+    }
+
+    /// Publishes the counter changes accumulated in `delta`.
+    void commit(const EdgeSetDelta& delta) noexcept {
+        locked_ ? locked_->commit(delta) : lockfree_->commit(delta);
+    }
+
+    /// The one-element batch: insert_unique plus its commit.
+    bool insert_unique(std::uint64_t key) {
+        EdgeSetDelta delta;
+        const bool inserted = insert_unique(key, delta);
+        commit(delta);
+        return inserted;
+    }
+
+    /// The one-element batch: erase_unique plus its commit.
     bool erase_unique(std::uint64_t key) {
-        return locked_ ? locked_->erase_unique(key) : lockfree_->erase_unique(key);
+        EdgeSetDelta delta;
+        const bool erased = erase_unique(key, delta);
+        commit(delta);
+        return erased;
+    }
+
+    /// Inserts `keys` over `pool`, one commit per chunk.  The keys must be
+    /// distinct and absent (e.g. the edges of a simple graph).
+    void insert_unique_all(ThreadPool& pool, std::span<const std::uint64_t> keys) {
+        const std::uint64_t before = size();
+        pool.for_chunks(0, keys.size(), [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+            EdgeSetDelta delta;
+            for (std::uint64_t k = lo; k < hi; ++k) insert_unique(keys[k], delta);
+            commit(delta);
+        });
+        GESMC_CHECK(size() - before == keys.size(), "insert_unique_all: duplicate or present key");
     }
 
     // ------------------------------------------------------------- tickets
@@ -156,10 +206,24 @@ public:
         return locked_ ? locked_->needs_rebuild() : lockfree_->needs_rebuild();
     }
 
-    /// Compacts tombstones away. NOT safe against concurrent writers: call
-    /// at a quiescent point.  Lock-free backend: concurrent readers are
-    /// fine if they hold a ReadGuard (the old table is epoch-retired).
-    void rebuild() { locked_ ? locked_->rebuild() : lockfree_->rebuild(); }
+    /// Compacts tombstones away, gathering, clearing and reinserting the
+    /// live keys over `pool`. NOT safe against concurrent writers: call at
+    /// a quiescent point.  Lock-free backend: concurrent readers are fine
+    /// if they hold a ReadGuard (the old table is epoch-retired).
+    void rebuild(ThreadPool& pool) {
+        locked_ ? locked_->rebuild(pool) : lockfree_->rebuild(pool);
+    }
+
+    /// rebuild(pool) on the calling thread alone.
+    void rebuild() {
+        ThreadPool caller_only(1);
+        rebuild(caller_only);
+    }
+
+    /// rebuild(pool) iff needs_rebuild().
+    void maybe_rebuild(ThreadPool& pool) {
+        if (needs_rebuild()) rebuild(pool);
+    }
 
     /// rebuild() iff needs_rebuild().
     void maybe_rebuild() {

@@ -1,6 +1,7 @@
 #include "hashing/locked_edge_set.hpp"
 
 #include "hashing/edge_set_stats.hpp"
+#include "hashing/live_keys.hpp"
 #include "obs/metrics.hpp"
 
 #include <thread>
@@ -31,6 +32,8 @@ struct LockedMetrics {
         obs::MetricsRegistry::instance().counter("hashset.locked.insert_collisions");
     obs::Counter& cas_retries =
         obs::MetricsRegistry::instance().counter("hashset.locked.cas_retries");
+    obs::Counter& rebuilds =
+        obs::MetricsRegistry::instance().counter("hashset.locked.rebuilds");
     obs::Gauge& psl_max =
         obs::MetricsRegistry::instance().gauge("hashset.locked.psl_max");
 };
@@ -131,7 +134,8 @@ void LockedEdgeSet::unlock_stripe(std::atomic<std::uint8_t>& s) noexcept {
 /// Core probe-and-claim. Must run with same-key operations excluded (either
 /// under the key's stripe lock or by the insert_unique contract).
 bool LockedEdgeSet::insert_impl(std::uint64_t key, std::uint64_t locked_state,
-                                std::uint64_t* slot_out, bool* exists_locked_out) {
+                                std::uint64_t* slot_out, bool* exists_locked_out,
+                                EdgeSetDelta& delta) {
     const std::uint64_t value = key | locked_state;
     const bool measure = measuring();
     std::uint64_t retries = 0;
@@ -154,8 +158,8 @@ retry:
                 std::uint64_t expected = kTomb;
                 if (table_[first_tomb].compare_exchange_strong(expected, value,
                                                                std::memory_order_acq_rel)) {
-                    tombs_.fetch_sub(1, std::memory_order_relaxed);
-                    size_.fetch_add(1, std::memory_order_relaxed);
+                    delta.tombs -= 1;
+                    delta.live += 1;
                     if (measure) {
                         LockedMetrics& m = locked_metrics();
                         m.inserts.add(1);
@@ -177,7 +181,7 @@ retry:
             std::uint64_t expected = kEmpty;
             if (table_[idx].compare_exchange_strong(expected, value,
                                                     std::memory_order_acq_rel)) {
-                size_.fetch_add(1, std::memory_order_relaxed);
+                delta.live += 1;
                 if (measure) {
                     LockedMetrics& m = locked_metrics();
                     m.inserts.add(1);
@@ -205,26 +209,30 @@ retry:
 bool LockedEdgeSet::insert(std::uint64_t key) {
     GESMC_CHECK(key != kEmpty && key < kTomb, "key out of the 56-bit domain");
     auto& s = stripe(key);
+    EdgeSetDelta delta;
     lock_stripe(s);
-    const bool inserted = insert_impl(key, 0, nullptr, nullptr);
+    const bool inserted = insert_impl(key, 0, nullptr, nullptr, delta);
     unlock_stripe(s);
+    commit(delta);
     return inserted;
 }
 
-bool LockedEdgeSet::insert_unique(std::uint64_t key) {
+bool LockedEdgeSet::insert_unique(std::uint64_t key, EdgeSetDelta& delta) {
     GESMC_CHECK(key != kEmpty && key < kTomb, "key out of the 56-bit domain");
-    return insert_impl(key, 0, nullptr, nullptr);
+    return insert_impl(key, 0, nullptr, nullptr, delta);
 }
 
 bool LockedEdgeSet::erase(std::uint64_t key) {
     auto& s = stripe(key);
+    EdgeSetDelta delta;
     lock_stripe(s);
-    const bool erased = erase_unique(key);
+    const bool erased = erase_unique(key, delta);
     unlock_stripe(s);
+    commit(delta);
     return erased;
 }
 
-bool LockedEdgeSet::erase_unique(std::uint64_t key) {
+bool LockedEdgeSet::erase_unique(std::uint64_t key, EdgeSetDelta& delta) {
     std::uint64_t idx = home(key);
     for (std::uint64_t probes = 0; probes <= mask_; ++probes) {
         std::uint64_t bucket = table_[idx].load(std::memory_order_acquire);
@@ -234,11 +242,15 @@ bool LockedEdgeSet::erase_unique(std::uint64_t key) {
             // never erases a key another thread still has locked, but the
             // general API tolerates brief lock windows).
             for (;;) {
+                // Checked on every pass: a word reloaded after a ticket
+                // holder's erase_locked is a tombstone, and a CAS from it
+                // would count a second erase of the same key.
+                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (owner_of(bucket) == 0 &&
                     table_[idx].compare_exchange_weak(bucket, kTomb,
                                                       std::memory_order_acq_rel)) {
-                    size_.fetch_sub(1, std::memory_order_relaxed);
-                    tombs_.fetch_add(1, std::memory_order_relaxed);
+                    delta.live -= 1;
+                    delta.tombs += 1;
                     if (measuring()) {
                         if (EdgeSetOpStats* ls = edge_set_thread_stats()) {
                             ls->erases += 1;
@@ -247,7 +259,6 @@ bool LockedEdgeSet::erase_unique(std::uint64_t key) {
                     }
                     return true;
                 }
-                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (measuring()) {
                     locked_metrics().cas_retries.add(1);
                     if (EdgeSetOpStats* ls = edge_set_thread_stats()) ls->cas_retries += 1;
@@ -287,10 +298,12 @@ LockedEdgeSet::InsertLock LockedEdgeSet::try_insert_and_lock(std::uint64_t key, 
     GESMC_CHECK(key != kEmpty && key < kTomb, "key out of the 56-bit domain");
     const std::uint64_t locked_state = static_cast<std::uint64_t>(tid + 1) << kLockShift;
     auto& s = stripe(key);
+    EdgeSetDelta delta;
     lock_stripe(s);
     bool exists_locked = false;
-    const bool inserted = insert_impl(key, locked_state, &slot_out, &exists_locked);
+    const bool inserted = insert_impl(key, locked_state, &slot_out, &exists_locked, delta);
     unlock_stripe(s);
+    commit(delta);
     if (inserted) return InsertLock::kInserted;
     return exists_locked ? InsertLock::kExistsLocked : InsertLock::kExists;
 }
@@ -302,20 +315,26 @@ void LockedEdgeSet::unlock(std::uint64_t slot) noexcept {
 
 void LockedEdgeSet::erase_locked(std::uint64_t slot) noexcept {
     table_[slot].store(kTomb, std::memory_order_release);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    tombs_.fetch_add(1, std::memory_order_relaxed);
+    commit({.live = -1, .tombs = 1});
 }
 
-void LockedEdgeSet::rebuild() {
-    std::vector<std::uint64_t> live;
-    live.reserve(size());
-    for_each([&](std::uint64_t key) { live.push_back(key); });
-    for (auto& b : table_) b.store(kEmpty, std::memory_order_relaxed);
-    size_.store(0, std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
+void LockedEdgeSet::rebuild(ThreadPool& pool) {
+    // Gathering clears each bucket as it reads it: one pass over the table.
+    const std::vector<std::uint64_t> live = gather_live_keys(
+        pool, table_.size(), size(), [this](std::uint64_t idx) { return key_at_bucket(idx); },
+        [this](std::uint64_t idx) {
+            const std::uint64_t key = key_at_bucket(idx);
+            table_[idx].store(kEmpty, std::memory_order_relaxed);
+            return key;
+        });
+    counts_.reset(0);
     psl_max_.store(0, std::memory_order_relaxed);
-    for (const std::uint64_t key : live) insert_unique(key);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    pool.for_chunks(0, live.size(), [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        EdgeSetDelta delta;
+        for (std::uint64_t k = lo; k < hi; ++k) insert_impl(live[k], 0, nullptr, nullptr, delta);
+        commit(delta);
+    });
+    if (obs::metrics_enabled()) locked_metrics().rebuilds.add(1);
 }
 
 } // namespace gesmc

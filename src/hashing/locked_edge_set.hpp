@@ -11,7 +11,9 @@
 /// Thread-safety contract (shared by both backends):
 ///  * contains is lock-free and may run concurrently with everything else;
 ///  * insert / erase are safe under arbitrary concurrency;
-///  * insert_unique / erase_unique require no concurrent same-key ops;
+///  * insert_unique / erase_unique require no concurrent same-key ops and
+///    only record their counter change in the caller's EdgeSetDelta, which
+///    commit() publishes;
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    NaiveParES ticket semantics (§5.1);
 ///  * rebuild() only at quiescent points.
@@ -19,6 +21,7 @@
 
 #include "hashing/edge_set_backend.hpp"
 #include "hashing/hash.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
@@ -45,7 +48,10 @@ public:
     LockedEdgeSet& operator=(const LockedEdgeSet&) = delete;
 
     [[nodiscard]] std::uint64_t size() const noexcept {
-        return size_.load(std::memory_order_relaxed);
+        return counts_.live.load(std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t tombstones() const noexcept {
+        return counts_.tombs.load(std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t bucket_count() const noexcept { return table_.size(); }
 
@@ -57,8 +63,11 @@ public:
 
     bool insert(std::uint64_t key);
     bool erase(std::uint64_t key);
-    bool insert_unique(std::uint64_t key);
-    bool erase_unique(std::uint64_t key);
+    bool insert_unique(std::uint64_t key, EdgeSetDelta& delta);
+    bool erase_unique(std::uint64_t key, EdgeSetDelta& delta);
+
+    /// Publishes a writer's accumulated counter changes.
+    void commit(const EdgeSetDelta& delta) noexcept { counts_.commit(delta); }
 
     std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept;
     InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out);
@@ -66,14 +75,11 @@ public:
     void erase_locked(std::uint64_t slot) noexcept;
 
     [[nodiscard]] bool needs_rebuild() const noexcept {
-        return tombs_.load(std::memory_order_relaxed) > table_.size() / 4;
+        return counts_.tombs.load(std::memory_order_relaxed) > table_.size() / 4;
     }
 
-    void rebuild();
-
-    void maybe_rebuild() {
-        if (needs_rebuild()) rebuild();
-    }
+    /// Clears the table and reinserts the live keys over `pool`.
+    void rebuild(ThreadPool& pool);
 
     /// The key stored in bucket `idx`, or 0 for an empty/tombstone bucket.
     [[nodiscard]] std::uint64_t key_at_bucket(std::uint64_t idx) const noexcept {
@@ -109,7 +115,7 @@ private:
     void note_psl(std::uint64_t distance) noexcept;
 
     bool insert_impl(std::uint64_t key, std::uint64_t locked_state, std::uint64_t* slot_out,
-                     bool* exists_locked_out);
+                     bool* exists_locked_out, EdgeSetDelta& delta);
 
     static constexpr std::uint64_t kStripes = 4096;
 
@@ -117,8 +123,7 @@ private:
     std::vector<std::atomic<std::uint8_t>> stripes_;
     std::uint64_t mask_ = 0;
     unsigned shift_ = 64;
-    std::atomic<std::uint64_t> size_{0};
-    std::atomic<std::uint64_t> tombs_{0};
+    EdgeSetCounters counts_;
     std::atomic<std::uint64_t> psl_max_{0};
 };
 

@@ -1,7 +1,10 @@
 #include "hashing/lockfree_edge_set.hpp"
 
 #include "hashing/edge_set_stats.hpp"
+#include "hashing/live_keys.hpp"
 #include "obs/metrics.hpp"
+
+#include <algorithm>
 
 namespace gesmc {
 
@@ -25,6 +28,8 @@ struct LockFreeMetrics {
         obs::MetricsRegistry::instance().counter("hashset.lockfree.insert_collisions");
     obs::Counter& cas_retries =
         obs::MetricsRegistry::instance().counter("hashset.lockfree.cas_retries");
+    obs::Counter& rebuilds =
+        obs::MetricsRegistry::instance().counter("hashset.lockfree.rebuilds");
     obs::Gauge& psl_max =
         obs::MetricsRegistry::instance().gauge("hashset.lockfree.psl_max");
 };
@@ -115,7 +120,7 @@ bool LockFreeEdgeSet::psl_overflowed() const noexcept {
 
 bool LockFreeEdgeSet::needs_rebuild() const noexcept {
     const Table* t = table();
-    return tombs_.load(std::memory_order_relaxed) > t->capacity() / 4 ||
+    return counts_.tombs.load(std::memory_order_relaxed) > t->capacity() / 4 ||
            t->overflowed.load(std::memory_order_relaxed);
 }
 
@@ -174,7 +179,8 @@ bool LockFreeEdgeSet::contains(std::uint64_t key) const noexcept {
 /// and tombstones are never recycled), so all racing inserters of a key
 /// converge on the same first-CASable-empty bucket.
 bool LockFreeEdgeSet::insert_impl(std::uint64_t key, std::uint64_t locked_state,
-                                  std::uint64_t* slot_out, bool* exists_locked_out) {
+                                  std::uint64_t* slot_out, bool* exists_locked_out,
+                                  EdgeSetDelta& delta) {
     Table* t = table();
     const std::uint64_t value = key | locked_state;
     const std::uint64_t home_idx = t->home(key);
@@ -216,7 +222,7 @@ bool LockFreeEdgeSet::insert_impl(std::uint64_t key, std::uint64_t locked_state,
             std::uint64_t expected = kEmpty;
             if (t->slot(idx).compare_exchange_strong(expected, value,
                                                      std::memory_order_acq_rel)) {
-                size_.fetch_add(1, std::memory_order_relaxed);
+                delta.live += 1;
                 note_psl(dist);
                 if (measure) {
                     LockFreeMetrics& m = lockfree_metrics();
@@ -242,11 +248,25 @@ bool LockFreeEdgeSet::insert_impl(std::uint64_t key, std::uint64_t locked_state,
 }
 
 bool LockFreeEdgeSet::insert(std::uint64_t key) {
+    EdgeSetDelta delta;
+    const bool inserted = insert_unique(key, delta);
+    commit(delta);
+    return inserted;
+}
+
+bool LockFreeEdgeSet::insert_unique(std::uint64_t key, EdgeSetDelta& delta) {
     GESMC_CHECK(key != kEmpty && key < kTomb, "key out of the 56-bit domain");
-    return insert_impl(key, 0, nullptr, nullptr);
+    return insert_impl(key, 0, nullptr, nullptr, delta);
 }
 
 bool LockFreeEdgeSet::erase(std::uint64_t key) {
+    EdgeSetDelta delta;
+    const bool erased = erase_unique(key, delta);
+    commit(delta);
+    return erased;
+}
+
+bool LockFreeEdgeSet::erase_unique(std::uint64_t key, EdgeSetDelta& delta) {
     Table* t = table();
     const std::uint64_t lim = t->limit();
     std::uint64_t idx = t->home(key);
@@ -257,11 +277,15 @@ bool LockFreeEdgeSet::erase(std::uint64_t key) {
         if (k == key) {
             std::uint64_t retries = 0;
             for (;;) {
+                // Checked on every pass: a word reloaded after a concurrent
+                // erase is a tombstone, and a CAS from it would count a
+                // second erase of the same key.
+                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (owner_of(bucket) == 0 &&
                     t->slot(idx).compare_exchange_weak(bucket, kTomb,
                                                        std::memory_order_acq_rel)) {
-                    size_.fetch_sub(1, std::memory_order_relaxed);
-                    tombs_.fetch_add(1, std::memory_order_relaxed);
+                    delta.live -= 1;
+                    delta.tombs += 1;
                     if (measure) {
                         if (retries > 0) lockfree_metrics().cas_retries.add(retries);
                         if (EdgeSetOpStats* ls = edge_set_thread_stats()) {
@@ -272,7 +296,6 @@ bool LockFreeEdgeSet::erase(std::uint64_t key) {
                     }
                     return true;
                 }
-                if (key_of(bucket) != key) return false; // vanished concurrently
                 ++retries; // transient ticket owner: spin it out
                 bucket = t->slot(idx).load(std::memory_order_acquire);
             }
@@ -309,8 +332,10 @@ LockFreeEdgeSet::InsertLock LockFreeEdgeSet::try_insert_and_lock(std::uint64_t k
                                                                  std::uint64_t& slot_out) {
     GESMC_CHECK(key != kEmpty && key < kTomb, "key out of the 56-bit domain");
     const std::uint64_t locked_state = static_cast<std::uint64_t>(tid + 1) << kLockShift;
+    EdgeSetDelta delta;
     bool exists_locked = false;
-    const bool inserted = insert_impl(key, locked_state, &slot_out, &exists_locked);
+    const bool inserted = insert_impl(key, locked_state, &slot_out, &exists_locked, delta);
+    commit(delta);
     if (inserted) return InsertLock::kInserted;
     return exists_locked ? InsertLock::kExistsLocked : InsertLock::kExists;
 }
@@ -324,53 +349,65 @@ void LockFreeEdgeSet::unlock(std::uint64_t slot) noexcept {
 void LockFreeEdgeSet::erase_locked(std::uint64_t slot) noexcept {
     Table* t = table();
     t->slot(slot).store(kTomb, std::memory_order_release);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    tombs_.fetch_add(1, std::memory_order_relaxed);
+    commit({.live = -1, .tombs = 1});
 }
 
-void LockFreeEdgeSet::rebuild() {
+void LockFreeEdgeSet::rebuild(ThreadPool& pool) {
     Table* old = table_.load(std::memory_order_acquire);
-    std::vector<std::uint64_t> live;
-    live.reserve(size());
-    for_each([&](std::uint64_t key) { live.push_back(key); });
+    // The old table stays intact: guarded readers may still probe it.
+    const auto key_at = [this](std::uint64_t idx) { return key_at_bucket(idx); };
+    const std::vector<std::uint64_t> live =
+        gather_live_keys(pool, old->capacity(), size(), key_at, key_at);
 
-    // Re-place into a fresh table, doubling until every placement honours
-    // the PSL bound (one doubling is essentially always enough: the bound
-    // only broke because tombstones or an adversarial key cluster stretched
-    // a probe chain).
+    // Re-place into a fresh table over the pool, doubling until every
+    // placement honours the PSL bound (one doubling is essentially always
+    // enough: the bound only broke because tombstones or an adversarial
+    // key cluster stretched a probe chain).  The live keys are distinct,
+    // so racing placements only ever compete for empty buckets.
     std::uint64_t target = next_pow2(std::max<std::uint64_t>(64, live.size() * 4));
     Table* fresh = nullptr;
-    std::uint64_t max_psl = 0;
+    std::vector<std::uint64_t> chunk_psl(pool.num_threads());
     for (;;) {
         fresh = new Table(target);
-        bool bounded = true;
-        max_psl = 0;
-        for (const std::uint64_t key : live) {
-            std::uint64_t dist = 0;
-            std::uint64_t idx = fresh->home(key);
-            while (fresh->slot(idx).load(std::memory_order_relaxed) != kEmpty) {
-                ++dist;
-                idx = (idx + 1) & fresh->mask;
-                if (dist >= kMaxPsl) {
-                    bounded = false;
-                    break;
+        std::atomic<bool> bounded{true};
+        std::fill(chunk_psl.begin(), chunk_psl.end(), 0);
+        pool.for_chunks(0, live.size(), [&](unsigned tid, std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t max_dist = 0;
+            for (std::uint64_t k = lo; k < hi && bounded.load(std::memory_order_relaxed); ++k) {
+                std::uint64_t dist = 0;
+                std::uint64_t idx = fresh->home(live[k]);
+                for (;;) {
+                    std::atomic<std::uint64_t>& slot = fresh->slot(idx);
+                    std::uint64_t expected = kEmpty;
+                    if (slot.load(std::memory_order_relaxed) == kEmpty &&
+                        slot.compare_exchange_strong(expected, live[k],
+                                                     std::memory_order_relaxed)) {
+                        break;
+                    }
+                    idx = (idx + 1) & fresh->mask;
+                    if (++dist >= kMaxPsl) {
+                        bounded.store(false, std::memory_order_relaxed);
+                        return;
+                    }
                 }
+                max_dist = std::max(max_dist, dist);
             }
-            if (!bounded) break;
-            fresh->slot(idx).store(key, std::memory_order_relaxed);
-            if (dist > max_psl) max_psl = dist;
-        }
-        if (bounded) break;
+            chunk_psl[tid] = max_dist;
+        });
+        if (bounded.load(std::memory_order_relaxed)) break;
         delete fresh;
         target <<= 1;
         GESMC_CHECK(target != 0, "LockFreeEdgeSet rebuild overflowed the size domain");
     }
+    const std::uint64_t max_psl = *std::max_element(chunk_psl.begin(), chunk_psl.end());
 
+    // No fence: a reader that pins an epoch after retire()'s seq_cst bump
+    // synchronizes with it and so sees `fresh`; one pinned earlier keeps
+    // `old` alive.
     table_.store(fresh, std::memory_order_release);
-    size_.store(live.size(), std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
+    counts_.reset(live.size());
     psl_max_.store(max_psl, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (obs::metrics_enabled()) lockfree_metrics().rebuilds.add(1);
 
     epochs_.retire(old, [](void* p) { delete static_cast<Table*>(p); });
     epochs_.collect();

@@ -36,6 +36,7 @@
 #include "hashing/edge_set_backend.hpp"
 #include "hashing/epoch.hpp"
 #include "hashing/hash.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
@@ -70,7 +71,10 @@ public:
     LockFreeEdgeSet& operator=(const LockFreeEdgeSet&) = delete;
 
     [[nodiscard]] std::uint64_t size() const noexcept {
-        return size_.load(std::memory_order_relaxed);
+        return counts_.live.load(std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t tombstones() const noexcept {
+        return counts_.tombs.load(std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t bucket_count() const noexcept;
 
@@ -78,14 +82,17 @@ public:
 
     void prefetch(std::uint64_t key) const noexcept;
 
-    /// Insert / erase are safe under arbitrary concurrency — there is no
-    /// cheaper "unique" variant because there are no locks to skip; the
-    /// _unique spellings below exist for API parity with the locked
-    /// backend.
+    /// Insert / erase are safe under arbitrary concurrency.  The _unique
+    /// spellings run the same probe code (there are no locks to skip) but
+    /// only record their counter change in `delta`, which commit()
+    /// publishes.
     bool insert(std::uint64_t key);
     bool erase(std::uint64_t key);
-    bool insert_unique(std::uint64_t key) { return insert(key); }
-    bool erase_unique(std::uint64_t key) { return erase(key); }
+    bool insert_unique(std::uint64_t key, EdgeSetDelta& delta);
+    bool erase_unique(std::uint64_t key, EdgeSetDelta& delta);
+
+    /// Publishes a writer's accumulated counter changes.
+    void commit(const EdgeSetDelta& delta) noexcept { counts_.commit(delta); }
 
     std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept;
     InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out);
@@ -97,14 +104,10 @@ public:
     [[nodiscard]] bool needs_rebuild() const noexcept;
 
     /// Publishes a compacted (and, if the PSL bound demands it, grown)
-    /// table; the old one is epoch-retired.  NOT safe against concurrent
-    /// writers — call at a quiescent point.  Readers holding a guard are
-    /// fine.
-    void rebuild();
-
-    void maybe_rebuild() {
-        if (needs_rebuild()) rebuild();
-    }
+    /// table, filled over `pool`; the old one is epoch-retired.  NOT safe
+    /// against concurrent writers — call at a quiescent point.  Readers
+    /// holding a guard are fine.
+    void rebuild(ThreadPool& pool);
 
     /// The key stored in bucket `idx`, or 0 for an empty/tombstone bucket.
     [[nodiscard]] std::uint64_t key_at_bucket(std::uint64_t idx) const noexcept;
@@ -141,14 +144,13 @@ private:
     }
 
     bool insert_impl(std::uint64_t key, std::uint64_t locked_state, std::uint64_t* slot_out,
-                     bool* exists_locked_out);
+                     bool* exists_locked_out, EdgeSetDelta& delta);
     void note_psl(std::uint64_t distance) noexcept;
     static void flag_overflow(Table& t) noexcept;
 
     std::atomic<Table*> table_{nullptr};
     mutable EpochDomain epochs_;
-    std::atomic<std::uint64_t> size_{0};
-    std::atomic<std::uint64_t> tombs_{0};
+    EdgeSetCounters counts_;
     std::atomic<std::uint64_t> psl_max_{0};
 };
 

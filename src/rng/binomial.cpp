@@ -8,9 +8,16 @@ namespace gesmc::detail {
 
 namespace {
 
+/// ln|Gamma(x)| without std::lgamma's write to the global `signgam`,
+/// which races when replicates sample concurrently.
+double lgamma_threadsafe(double x) {
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
 /// log(n choose k) via lgamma.
 double log_choose(double n, double k) {
-    return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
+    return lgamma_threadsafe(n + 1) - lgamma_threadsafe(k + 1) - lgamma_threadsafe(n - k + 1);
 }
 
 } // namespace

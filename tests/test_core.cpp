@@ -14,6 +14,7 @@
 #include "core/switch_stream.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
+#include "obs/metrics.hpp"
 #include "rng/mt19937_64.hpp"
 #include "rng/shuffle.hpp"
 
@@ -22,8 +23,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 
 namespace gesmc {
 namespace {
@@ -292,6 +295,46 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
 
 // --------------------------------------------------------- exactness: par == seq
 
+/// Every key of the chain's graph is in its edge set: a key lost by the
+/// bulk load or a parallel rebuild fails here directly, before it can turn
+/// into a diverging trajectory.
+void expect_edge_set_holds_graph(const Chain& chain, const std::string& where) {
+    for (const edge_key_t k : chain.graph().keys()) {
+        ASSERT_TRUE(chain.has_edge(k)) << where << ": key " << k << " missing";
+    }
+}
+
+/// A sparse G(n, p) (m ~ 8000): nearly every switch is accepted, so each
+/// superstep tombstones ~m keys and the edge set crosses its rebuild
+/// threshold within a few supersteps.
+EdgeList accept_heavy_graph() { return generate_gnp(4000, 0.001, 5); }
+
+/// Edge-set rebuilds so far on the default (locked) backend; counted only
+/// while metrics are enabled.
+std::uint64_t locked_rebuilds() {
+    return obs::MetricsRegistry::instance().counter("hashset.locked.rebuilds").total();
+}
+
+/// Runs `make_par(threads)` for `supersteps` at P = 1, 2 and 4 against the
+/// sequential `seq`, and checks P = 4 rebuilt its edge set at least once.
+template <typename MakePar>
+void expect_accept_heavy_exact(const Chain& seq, std::uint64_t supersteps, MakePar make_par) {
+    for (unsigned threads : {1u, 2u, 4u}) {
+        obs::set_metrics_enabled(true);
+        const std::uint64_t rebuilds_before = locked_rebuilds();
+        const std::unique_ptr<Chain> par = make_par(threads);
+        par->run_supersteps(supersteps);
+        const std::uint64_t rebuilds = locked_rebuilds() - rebuilds_before;
+        obs::set_metrics_enabled(false);
+        const std::string where = "accept-heavy threads=" + std::to_string(threads);
+        ASSERT_TRUE(par->graph().same_graph(seq.graph())) << where;
+        EXPECT_EQ(par->stats().accepted, seq.stats().accepted) << where;
+        EXPECT_EQ(par->stats().rejected_edge, seq.stats().rejected_edge) << where;
+        expect_edge_set_holds_graph(*par, where);
+        if (threads == 4) EXPECT_GT(rebuilds, 0u) << where;
+    }
+}
+
 TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
     const auto corpus = corpus_test();
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -311,9 +354,23 @@ TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
                 EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
                 EXPECT_EQ(par.stats().rejected_loop, seq.stats().rejected_loop);
                 EXPECT_EQ(par.stats().rejected_edge, seq.stats().rejected_edge);
+                expect_edge_set_holds_graph(par, entry.name);
             }
         }
     }
+
+    const EdgeList heavy = accept_heavy_graph();
+    constexpr std::uint64_t kSupersteps = 8;
+    ChainConfig seq_config;
+    seq_config.seed = 3;
+    SeqES seq(heavy, seq_config);
+    seq.run_supersteps(kSupersteps);
+    expect_accept_heavy_exact(seq, kSupersteps, [&](unsigned threads) {
+        ChainConfig par_config;
+        par_config.seed = 3;
+        par_config.threads = threads;
+        return std::make_unique<ParES>(heavy, par_config);
+    });
 }
 
 TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
@@ -334,9 +391,23 @@ TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
                     << entry.name << " seed=" << seed << " threads=" << threads;
                 EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
                 EXPECT_EQ(par.stats().attempted, seq.stats().attempted);
+                expect_edge_set_holds_graph(par, entry.name);
             }
         }
     }
+
+    const EdgeList heavy = accept_heavy_graph();
+    constexpr std::uint64_t kSupersteps = 8;
+    ChainConfig seq_config;
+    seq_config.seed = 4;
+    SeqGlobalES seq(heavy, seq_config);
+    seq.run_supersteps(kSupersteps);
+    expect_accept_heavy_exact(seq, kSupersteps, [&](unsigned threads) {
+        ChainConfig par_config;
+        par_config.seed = 4;
+        par_config.threads = threads;
+        return std::make_unique<ParGlobalES>(heavy, par_config);
+    });
 }
 
 TEST(Exactness, SeqESPipelinedEqualsPlain) {

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -285,17 +286,28 @@ TEST_P(ConcurrentEdgeSetBackends, SampleUniformBoundedWorkUnderTombstoneFlood) {
 }
 
 TEST_P(ConcurrentEdgeSetBackends, ConcurrentDistinctKeyInsertsAllLand) {
-    constexpr unsigned p = 4;
+    // Single-key insert_unique / erase_unique commit their own one-element
+    // delta, so size() is exact after every concurrent round (callers such
+    // as a mirror table checked between supersteps rely on this).
     constexpr std::uint64_t per_thread = 20000;
-    auto set = make_set(p * per_thread);
-    ThreadPool pool(p);
-    pool.run([&](unsigned tid) {
-        for (std::uint64_t i = 0; i < per_thread; ++i) {
-            EXPECT_TRUE(set.insert_unique(1 + tid * per_thread + i));
-        }
-    });
-    EXPECT_EQ(set.size(), p * per_thread);
-    for (std::uint64_t k = 1; k <= p * per_thread; ++k) ASSERT_TRUE(set.contains(k));
+    for (const unsigned p : {1u, 2u, 4u}) {
+        auto set = make_set(p * per_thread);
+        ThreadPool pool(p);
+        pool.run([&](unsigned tid) {
+            for (std::uint64_t i = 0; i < per_thread; ++i) {
+                EXPECT_TRUE(set.insert_unique(1 + tid * per_thread + i));
+            }
+        });
+        EXPECT_EQ(set.size(), p * per_thread) << "P=" << p;
+        for (std::uint64_t k = 1; k <= p * per_thread; ++k) ASSERT_TRUE(set.contains(k));
+        pool.run([&](unsigned tid) {
+            for (std::uint64_t i = 0; i < per_thread; i += 2) {
+                EXPECT_TRUE(set.erase_unique(1 + tid * per_thread + i));
+            }
+        });
+        EXPECT_EQ(set.size(), p * per_thread / 2) << "P=" << p;
+        EXPECT_EQ(set.tombstones(), p * per_thread / 2) << "P=" << p;
+    }
 }
 
 TEST_P(ConcurrentEdgeSetBackends, ConcurrentSameKeyInsertsNeverDuplicate) {
@@ -469,6 +481,111 @@ TEST_P(ConcurrentEdgeSetBackends, MultiWriterHammer) {
         ASSERT_EQ(set.size(), static_cast<std::uint64_t>(net.load()))
             << "round " << round;
         set.maybe_rebuild();
+    }
+}
+
+// ---------------------------------------- bulk operations over a pool
+
+/// Distinct keys for the bulk tests (spread over the table, not clustered).
+std::uint64_t bulk_key(std::uint64_t i) { return 1 + i * 7919; }
+
+/// One phase of the bulk churn: insert or erase bulk_key(i) for i in [lo, hi).
+struct BulkPhase {
+    bool erase;
+    std::uint64_t lo, hi;
+};
+
+/// 20000 keys in the 65536-bucket table of a set declared for 10000: the
+/// rebuild threshold is 16384 tombstones.  The erase phases end where the
+/// tombstone count cannot depend on the insert order (10000, then at least
+/// 17000 whatever the locked backend's recycling did), so needs_rebuild()
+/// is fixed there; size() is fixed after every phase.
+const std::vector<BulkPhase> kBulkPhases = {
+    {false, 0, 20000}, {true, 0, 10000}, {false, 20000, 25000}, {true, 10000, 22000}};
+constexpr std::uint64_t kBulkDeclared = 10000;
+
+TEST_P(ConcurrentEdgeSetBackends, ChunkedDeltasMatchSerialSingleKeyOps) {
+    auto serial = make_set(kBulkDeclared);
+    std::vector<std::uint64_t> serial_size;
+    std::vector<bool> serial_needs;
+    for (const BulkPhase& phase : kBulkPhases) {
+        for (std::uint64_t i = phase.lo; i < phase.hi; ++i) {
+            ASSERT_TRUE(phase.erase ? serial.erase_unique(bulk_key(i))
+                                    : serial.insert_unique(bulk_key(i)));
+        }
+        serial_size.push_back(serial.size());
+        serial_needs.push_back(serial.needs_rebuild());
+    }
+    ASSERT_FALSE(serial_needs[1]);
+    ASSERT_TRUE(serial_needs[3]); // the churn crosses the rebuild threshold
+
+    for (const unsigned p : {1u, 2u, 4u}) {
+        auto chunked = make_set(kBulkDeclared);
+        ThreadPool pool(p);
+        for (std::size_t ph = 0; ph < kBulkPhases.size(); ++ph) {
+            const BulkPhase& phase = kBulkPhases[ph];
+            std::atomic<std::uint64_t> misses{0};
+            pool.for_chunks(phase.lo, phase.hi,
+                            [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                                EdgeSetDelta delta;
+                                for (std::uint64_t i = lo; i < hi; ++i) {
+                                    const bool ok =
+                                        phase.erase ? chunked.erase_unique(bulk_key(i), delta)
+                                                    : chunked.insert_unique(bulk_key(i), delta);
+                                    if (!ok) misses.fetch_add(1);
+                                }
+                                chunked.commit(delta);
+                            });
+            EXPECT_EQ(misses.load(), 0u) << "P=" << p << " phase " << ph;
+            EXPECT_EQ(chunked.size(), serial_size[ph]) << "P=" << p << " phase " << ph;
+            if (phase.erase) {
+                EXPECT_EQ(chunked.needs_rebuild(), serial_needs[ph])
+                    << "P=" << p << " phase " << ph;
+            }
+        }
+    }
+}
+
+TEST_P(ConcurrentEdgeSetBackends, ParallelRebuildKeepsLiveKeysAndDropsTombstones) {
+    for (const unsigned p : {1u, 2u, 4u}) {
+        auto set = make_set(kBulkDeclared);
+        ThreadPool pool(p);
+        for (const BulkPhase& phase : kBulkPhases) {
+            for (std::uint64_t i = phase.lo; i < phase.hi; ++i) {
+                ASSERT_TRUE(phase.erase ? set.erase_unique(bulk_key(i))
+                                        : set.insert_unique(bulk_key(i)));
+            }
+        }
+        ASSERT_TRUE(set.needs_rebuild());
+        std::set<std::uint64_t> expect;
+        for (std::uint64_t i = 22000; i < 25000; ++i) expect.insert(bulk_key(i));
+
+        set.maybe_rebuild(pool);
+        EXPECT_EQ(set.size(), expect.size()) << "P=" << p;
+        EXPECT_EQ(set.tombstones(), 0u) << "P=" << p;
+        EXPECT_FALSE(set.needs_rebuild()) << "P=" << p;
+        std::set<std::uint64_t> got;
+        set.for_each([&](std::uint64_t k) { EXPECT_TRUE(got.insert(k).second) << k; });
+        EXPECT_EQ(got, expect) << "P=" << p;
+        for (const std::uint64_t k : expect) ASSERT_TRUE(set.contains(k)) << "P=" << p;
+        // The rebuilt table keeps working: erased keys stay gone, new ones land.
+        EXPECT_FALSE(set.contains(bulk_key(0)));
+        EXPECT_TRUE(set.insert_unique(bulk_key(0)));
+        EXPECT_EQ(set.size(), expect.size() + 1);
+    }
+}
+
+TEST_P(ConcurrentEdgeSetBackends, BulkLoadOverPoolInsertsEveryKey) {
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 20000; ++i) keys.push_back(bulk_key(i));
+    for (const unsigned p : {1u, 2u, 4u}) {
+        auto set = make_set(keys.size());
+        ThreadPool pool(p);
+        set.insert_unique_all(pool, keys);
+        EXPECT_EQ(set.size(), keys.size()) << "P=" << p;
+        EXPECT_EQ(set.tombstones(), 0u) << "P=" << p;
+        for (const std::uint64_t k : keys) ASSERT_TRUE(set.contains(k)) << "P=" << p;
+        EXPECT_THROW(set.insert_unique_all(pool, std::span(keys).first(1)), Error);
     }
 }
 
