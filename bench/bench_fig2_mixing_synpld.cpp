@@ -4,9 +4,9 @@
 ///
 /// Paper setup: (n, gamma) in {2^7, 2^10, 2^13} x {2.01, 2.1, 2.2, 2.5},
 /// 40 graphs each, thinning up to ~100 supersteps.  Scaled-down here:
-/// n in {2^7, 2^10}, 3 runs, thinning up to 32 (see DESIGN.md §4; the
-/// G-ES-MC <= ES-MC ordering is already visible at these sizes in the
-/// paper's own figure).  Expected shape: both curves decay with k;
+/// n in {2^7, 2^10}, 3 runs, thinning up to 32 (to keep the bench to
+/// minutes; the G-ES-MC <= ES-MC ordering is already visible at these
+/// sizes in the paper's own figure).  Expected shape: both curves decay with k;
 /// G-ES-MC at or below ES-MC, with a growing advantage for larger gamma.
 #include "analysis/convergence.hpp"
 #include "bench_util/harness.hpp"

@@ -5,9 +5,10 @@
 /// Paper setup: NetRep graphs with 1000 <= m <= 800k, tau in {1e-2, 1e-3},
 /// >= 15 runs, tracking restricted to the edges of the initial graph.
 /// Scaled-down substitute: the NetRep-like corpus members with m <= 60k,
-/// 2 runs (DESIGN.md §4).  Expected shape: G-ES-MC reaches the threshold
-/// at a thinning value no larger than ES-MC on most graphs; dense graphs
-/// converge slower for both chains.
+/// 2 runs, to keep the bench to minutes (NetRep itself is not
+/// redistributable, see gen/corpus.hpp).  Expected shape: G-ES-MC reaches
+/// the threshold at a thinning value no larger than ES-MC on most graphs;
+/// dense graphs converge slower for both chains.
 #include "analysis/convergence.hpp"
 #include "bench_util/harness.hpp"
 #include "gen/corpus.hpp"

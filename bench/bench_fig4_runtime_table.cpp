@@ -4,9 +4,10 @@
 ///
 /// Paper columns: NetworKit, Gengraph, SeqES, SeqGlobalES, NaiveParES,
 /// ParGlobalES at P=1, plus NaiveParES/ParGlobalES at P=32, with a 1000 s
-/// timeout.  Substitutions (DESIGN.md §4): AdjListES stands in for the
-/// NetworKit/Gengraph class of adjacency-list implementations; P=max uses
-/// this machine's hardware concurrency; timeout scaled to 120 s.
+/// timeout.  Substitutions: AdjListES stands in for the NetworKit/Gengraph
+/// class of adjacency-list implementations, which are external libraries
+/// this build does not link (core/adj_list_es.hpp); P=max uses this
+/// machine's hardware concurrency; timeout scaled to 120 s.
 /// Expected shape: AdjListES slowest by a large factor; SeqES /
 /// SeqGlobalES fastest sequential; parallel versions fastest at P=max with
 /// ParGlobalES within ~2x of the (inexact) NaiveParES.

@@ -61,7 +61,7 @@ int main() {
     std::cout << "\nSelf speed-up = time(P=1) / time(P); the paper reaches 20-30x at\n"
                  "P=32-64 on 64 dedicated cores. Measured compute-kernel ceiling of\n"
                  "this environment at P=" << pmax << ": " << fmt_double(ceiling, 2)
-              << "x — chain speed-ups are bounded by it (see EXPERIMENTS.md).\n"
+              << "x — chain speed-ups are bounded by it (no chain scales past the machine).\n"
               << "Total: " << fmt_seconds(total.elapsed_s()) << "\n";
     return 0;
 }

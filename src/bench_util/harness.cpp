@@ -170,7 +170,7 @@ void print_bench_header(const std::string& title, const std::string& paper_ref) 
               << "Reproduces: " << paper_ref << "\n"
               << "Hardware threads: " << bench_max_threads()
               << " (paper: 64-core EPYC 7702P; absolute numbers are scaled\n"
-              << "down — the reproduction target is the *shape*, see EXPERIMENTS.md)\n"
+              << "down — the reproduction target is the *shape* of the figure)\n"
               << "==================================================================\n";
 }
 

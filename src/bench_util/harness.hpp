@@ -60,8 +60,8 @@ struct BenchResult {
     std::uint64_t repetitions = 0;
 
     /// Optional named counters emitted as a "counters" object (insertion
-    /// order preserved) — e.g. the pinned hashset comparison's per-op probe
-    /// steps, CAS retries and max PSL.  The regression gate ignores them;
+    /// order preserved) — e.g. bench_adaptive's supersteps and saved
+    /// budget share.  The regression gate ignores them;
     /// they exist so a reader can explain a timing delta from the JSON.
     std::vector<std::pair<std::string, double>> counters;
 };

@@ -2,7 +2,7 @@
 /// \brief AdjListES — adjacency-list ES-MC reference implementation.
 ///
 /// Stands in for the NetworKit / Gengraph comparators of the paper's
-/// runtime table (Fig. 4), which are not available offline (DESIGN.md §4).
+/// runtime table (Fig. 4): they are external libraries this build does not link.
 /// It mirrors the data-structure choices of that implementation class
 /// (paper §5.2): the graph lives in per-node sorted adjacency vectors,
 /// existence queries binary-search the smaller neighborhood (O(log d)),

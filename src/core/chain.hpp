@@ -65,10 +65,7 @@ struct ChainConfig {
     /// (sequential execution is what the superstep reproduces).
     std::uint64_t small_graph_cutoff = 0;
 
-    /// Which ConcurrentEdgeSet implementation the parallel chains probe
-    /// (sequential chains ignore it).  A pure runtime/perf knob: exact
-    /// chains are byte-identical on either backend, so it is not part of
-    /// ChainState and may change across a resume.
+    /// Exists only so perfbench/ builds; nothing reads it (docs/hashing.md).
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
 };
 
@@ -93,7 +90,8 @@ enum class ChainAlgorithm {
     kParGlobalES,  ///< exact parallel G-ES-MC (Algorithm 3)
     kNaiveParES,   ///< inexact parallel baseline (§5.1)
     kAdjListES,    ///< adjacency-list reference implementation (stand-in for
-                   ///< NetworKit/Gengraph-class comparators, see DESIGN.md §4)
+                   ///< NetworKit/Gengraph-class comparators, which are
+                   ///< external libraries this build does not link)
 };
 
 /// A serializable snapshot of a running chain.  Because every chain draws

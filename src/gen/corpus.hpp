@@ -14,7 +14,6 @@
 /// The switching algorithms interact with a graph only through its size and
 /// degree sequence (dependency rates are driven by d_u * d_v, Theorems 2/3),
 /// so this corpus exercises the same regimes as the paper's NetRep sample.
-/// See DESIGN.md §4 for the substitution rationale.
 #pragma once
 
 #include "graph/edge_list.hpp"

@@ -1,38 +1,24 @@
 /// \file concurrent_edge_set.hpp
-/// \brief Concurrent edge hash set facade over two backends (§5.2).
+/// \brief The concurrent edge hash set of the parallel chains (paper §5.2).
 ///
 /// The paper stores each edge in a 64-bit-wide bucket: 56 bits hold the
 /// (canonical) edge key, 8 bits are reserved for locking.  A processing
 /// unit acquires a lock by compare-and-swapping its thread id into the lock
 /// bits, which succeeds only if the bucket held the edge in an unlocked
 /// state.  Buckets are *stable*: once a key is placed it never moves until
-/// erased (open addressing with tombstones), so a bucket index is a valid
-/// handle for unlock/erase.  This supports graphs with up to 2^28 nodes and
-/// up to 254 threads — the same restriction as the paper.
+/// erased (open addressing with linear probing and tombstones), so a bucket
+/// index is a valid handle for unlock/erase.  This supports graphs with up
+/// to 2^28 nodes and up to 254 threads — the same restriction as the paper.
+/// Same-key insert/erase races are serialized by 4096 striped byte
+/// spinlocks; inserts recycle the first tombstone of their probe chain.
 ///
-/// Two interchangeable backends implement that contract (selection via
-/// EdgeSetBackend, full comparison in docs/hashing.md):
-///
-///   * EdgeSetBackend::kLocked   — LockedEdgeSet: per-bucket CAS plus 4096
-///     striped byte locks serializing same-key insert/erase, tombstones
-///     recycled in place;
-///   * EdgeSetBackend::kLockFree — LockFreeEdgeSet: CAS-only linear probing
-///     over cache-line-aligned buckets, bounded probe-sequence length, and
-///     epoch-reclaimed rebuilds so readers never block.
-///
-/// The backend is a runtime knob threaded through ChainConfig; exact chains
-/// produce byte-identical trajectories on either (asserted by the
-/// backend-matrix suite in test_pipeline), so it never enters ChainState.
-///
-/// Thread-safety contract (both backends):
+/// Thread-safety contract:
 ///  * contains is lock-free and may run concurrently with everything else;
 ///  * insert / erase are safe under arbitrary concurrency;
 ///  * insert_unique / erase_unique are variants whose callers guarantee
 ///    that no two threads operate on the *same key* concurrently — exactly
 ///    the situation in the batch update phase of ParallelSuperstep (at most
-///    one legal inserter / eraser per edge).  On the locked backend they
-///    skip the stripe lock; on the lock-free backend they are the same code
-///    as insert / erase;
+///    one legal inserter / eraser per edge) — so they skip the stripe lock;
 ///  * counter contract: bulk writers pass an EdgeSetDelta to the _unique
 ///    calls and publish it with one commit() per chunk, so no per-key
 ///    read-modify-write hits the shared live/tombstone counters.  size()
@@ -42,30 +28,60 @@
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    ticket semantics of NaiveParES (§5.1).  Bucket handles are
 ///    invalidated by rebuild(), so no ticket may be held across one;
-///  * rebuild() only at quiescent points; chains pass their pool, which
-///    gathers, clears and reinserts the live keys in parallel.  On the
-///    lock-free backend, readers that may overlap a rebuild hold a
-///    ReadGuard.
+///  * rebuild() only at quiescent points (no concurrent readers either: it
+///    clears and refills the table in place); chains pass their pool, which
+///    gathers, clears and reinserts the live keys in parallel.
 ///
-/// Tombstones accumulate under erase; when their share crosses a threshold
-/// (or, lock-free only, a placement overflows the PSL bound), callers
-/// rebuild at a quiescent point via maybe_rebuild().
+/// Keys lie in (0, 2^56-1): 0 marks an empty bucket and 2^56-1 a tombstone.
+/// Writers reject other keys with an Error; contains() and try_lock() just
+/// report them absent.  Tombstones accumulate under erase; when their share
+/// crosses a quarter of the table, callers rebuild at a quiescent point via
+/// maybe_rebuild().
 #pragma once
 
 #include "hashing/edge_set_backend.hpp"
-#include "hashing/epoch.hpp"
-#include "hashing/locked_edge_set.hpp"
-#include "hashing/lockfree_edge_set.hpp"
+#include "hashing/hash.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "util/check.hpp"
+#include "util/prefetch.hpp"
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 namespace gesmc {
+
+/// Result of ConcurrentEdgeSet::try_insert_and_lock.
+enum class EdgeSetInsertLock { kInserted, kExists, kExistsLocked };
+
+/// Live-key and tombstone count changes that a writer accumulates locally
+/// and publishes with one ConcurrentEdgeSet::commit().  Bulk writers keep
+/// one per chunk, so no per-key read-modify-write touches the shared
+/// counters; single-key calls commit a one-element delta.
+struct EdgeSetDelta {
+    std::int64_t live = 0;
+    std::int64_t tombs = 0;
+};
+
+/// The table's live-key and tombstone counts.  Writers change them only by
+/// committing deltas, so they are exact at quiescent points.
+struct EdgeSetCounters {
+    std::atomic<std::uint64_t> live{0};
+    std::atomic<std::uint64_t> tombs{0};
+
+    void commit(const EdgeSetDelta& delta) noexcept {
+        // Two's-complement wrap makes a negative delta a subtraction.
+        if (delta.live != 0) {
+            live.fetch_add(static_cast<std::uint64_t>(delta.live), std::memory_order_relaxed);
+        }
+        if (delta.tombs != 0) {
+            tombs.fetch_add(static_cast<std::uint64_t>(delta.tombs), std::memory_order_relaxed);
+        }
+    }
+};
 
 class ConcurrentEdgeSet {
 public:
@@ -75,7 +91,6 @@ public:
     static constexpr std::uint64_t kTomb = kKeyMask; // all key bits set: encodes the
                                                      // impossible loop (2^28-1, 2^28-1)
 
-    /// Result of try_insert_and_lock.
     using InsertLock = EdgeSetInsertLock;
 
     /// Bounds on sample_uniform's random probing before it falls back to a
@@ -86,64 +101,48 @@ public:
     static constexpr unsigned kMaxSampleDraws = 64;
 
     /// Creates a set sized for `max_live_keys` simultaneously live keys.
+    /// The second parameter exists only so perfbench/ builds; it is ignored.
     explicit ConcurrentEdgeSet(std::uint64_t max_live_keys,
-                               EdgeSetBackend backend = EdgeSetBackend::kLocked);
+                               EdgeSetBackend /*unused*/ = EdgeSetBackend::kLocked);
 
     ConcurrentEdgeSet(const ConcurrentEdgeSet&) = delete;
     ConcurrentEdgeSet& operator=(const ConcurrentEdgeSet&) = delete;
 
-    [[nodiscard]] EdgeSetBackend backend() const noexcept { return backend_; }
-
     [[nodiscard]] std::uint64_t size() const noexcept {
-        return locked_ ? locked_->size() : lockfree_->size();
+        return counts_.live.load(std::memory_order_relaxed);
     }
-    [[nodiscard]] std::uint64_t bucket_count() const noexcept {
-        return locked_ ? locked_->bucket_count() : lockfree_->bucket_count();
-    }
+    [[nodiscard]] std::uint64_t bucket_count() const noexcept { return table_.size(); }
     /// Erased buckets awaiting the next rebuild.
     [[nodiscard]] std::uint64_t tombstones() const noexcept {
-        return locked_ ? locked_->tombstones() : lockfree_->tombstones();
+        return counts_.tombs.load(std::memory_order_relaxed);
     }
 
-    /// Lock-free existence query (ignores lock bits). key in (0, 2^56-1).
-    [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-        return locked_ ? locked_->contains(key) : lockfree_->contains(key);
-    }
+    /// Lock-free existence query (ignores lock bits); false for keys
+    /// outside (0, 2^56-1).
+    [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
 
     /// Issues a prefetch for the probe window of key (paper §5.4).
     void prefetch(std::uint64_t key) const noexcept {
-        locked_ ? locked_->prefetch(key) : lockfree_->prefetch(key);
+        prefetch_read_2lines(&table_[home(key)]);
     }
 
     /// General-purpose insert; returns false if the key was present.
-    bool insert(std::uint64_t key) {
-        return locked_ ? locked_->insert(key) : lockfree_->insert(key);
-    }
+    bool insert(std::uint64_t key);
 
     /// General-purpose erase; returns false if the key was absent.
-    bool erase(std::uint64_t key) {
-        return locked_ ? locked_->erase(key) : lockfree_->erase(key);
-    }
+    bool erase(std::uint64_t key);
 
     /// Insert under the no-concurrent-same-key contract. Returns false if
     /// present.  The counter change goes to `delta`, not to size(), until
     /// commit(delta).
-    bool insert_unique(std::uint64_t key, EdgeSetDelta& delta) {
-        return locked_ ? locked_->insert_unique(key, delta)
-                       : lockfree_->insert_unique(key, delta);
-    }
+    bool insert_unique(std::uint64_t key, EdgeSetDelta& delta);
 
     /// Erase under the no-concurrent-same-key contract. Returns false if
     /// absent.  The counter change goes to `delta` until commit(delta).
-    bool erase_unique(std::uint64_t key, EdgeSetDelta& delta) {
-        return locked_ ? locked_->erase_unique(key, delta)
-                       : lockfree_->erase_unique(key, delta);
-    }
+    bool erase_unique(std::uint64_t key, EdgeSetDelta& delta);
 
     /// Publishes the counter changes accumulated in `delta`.
-    void commit(const EdgeSetDelta& delta) noexcept {
-        locked_ ? locked_->commit(delta) : lockfree_->commit(delta);
-    }
+    void commit(const EdgeSetDelta& delta) noexcept { counts_.commit(delta); }
 
     /// The one-element batch: insert_unique plus its commit.
     bool insert_unique(std::uint64_t key) {
@@ -177,42 +176,27 @@ public:
 
     /// Attempts to lock an existing unlocked key. Returns the bucket index
     /// on success. tid must be in [0, 254); the stored owner is tid+1.
-    std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept {
-        return locked_ ? locked_->try_lock(key, tid) : lockfree_->try_lock(key, tid);
-    }
+    std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept;
 
     /// Attempts to insert key in locked state. On kInserted the bucket index
     /// is stored in slot_out and the caller owns the lock.
-    InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out) {
-        return locked_ ? locked_->try_insert_and_lock(key, tid, slot_out)
-                       : lockfree_->try_insert_and_lock(key, tid, slot_out);
-    }
+    InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out);
 
     /// Releases a lock acquired by try_lock / try_insert_and_lock.
-    void unlock(std::uint64_t slot) noexcept {
-        locked_ ? locked_->unlock(slot) : lockfree_->unlock(slot);
-    }
+    void unlock(std::uint64_t slot) noexcept;
 
     /// Erases the key in a bucket currently locked by the caller.
-    void erase_locked(std::uint64_t slot) noexcept {
-        locked_ ? locked_->erase_locked(slot) : lockfree_->erase_locked(slot);
-    }
+    void erase_locked(std::uint64_t slot) noexcept;
 
     // ------------------------------------------------------------- service
 
-    /// True when tombstones crossed the rebuild threshold (lock-free: or a
-    /// placement overflowed the PSL bound).
-    [[nodiscard]] bool needs_rebuild() const noexcept {
-        return locked_ ? locked_->needs_rebuild() : lockfree_->needs_rebuild();
-    }
+    /// True when tombstones fill more than a quarter of the buckets.
+    [[nodiscard]] bool needs_rebuild() const noexcept { return tombstones() > table_.size() / 4; }
 
     /// Compacts tombstones away, gathering, clearing and reinserting the
-    /// live keys over `pool`. NOT safe against concurrent writers: call at
-    /// a quiescent point.  Lock-free backend: concurrent readers are fine
-    /// if they hold a ReadGuard (the old table is epoch-retired).
-    void rebuild(ThreadPool& pool) {
-        locked_ ? locked_->rebuild(pool) : lockfree_->rebuild(pool);
-    }
+    /// live keys over `pool`. NOT safe against concurrent readers or
+    /// writers: call at a quiescent point.
+    void rebuild(ThreadPool& pool);
 
     /// rebuild(pool) on the calling thread alone.
     void rebuild() {
@@ -230,43 +214,12 @@ public:
         if (needs_rebuild()) rebuild();
     }
 
-    /// Largest placement distance from home the backend has observed (the
-    /// lock-free backend keeps this <= kMaxPsl between rebuilds; the locked
-    /// backend only tracks it while measuring).
-    [[nodiscard]] std::uint64_t max_psl() const noexcept {
-        return locked_ ? locked_->max_psl() : lockfree_->max_psl();
-    }
-
-    /// The key in bucket `idx`, or 0 when the bucket is empty/tombstone.
-    [[nodiscard]] std::uint64_t key_at_bucket(std::uint64_t idx) const noexcept {
-        return locked_ ? locked_->key_at_bucket(idx) : lockfree_->key_at_bucket(idx);
-    }
-
-    /// Direct access to the lock-free backend (nullptr on kLocked) for
-    /// backend-specific tests: PSL overflow state, epoch limbo depth.
-    [[nodiscard]] LockFreeEdgeSet* lockfree_backend() noexcept { return lockfree_.get(); }
-
-    /// Pins the epoch for readers that may overlap a rebuild() on the
-    /// lock-free backend; a no-op on the locked backend (whose rebuild
-    /// mutates in place and tolerates no concurrent readers at all — the
-    /// guard cannot help there, see docs/hashing.md).
-    class ReadGuard {
-    public:
-        explicit ReadGuard(const ConcurrentEdgeSet& set) {
-            if (set.lockfree_) guard_.emplace(set.lockfree_->epochs());
-        }
-
-    private:
-        std::optional<EpochDomain::Guard> guard_;
-    };
-
     /// Calls fn(key) for every live key. NOT thread-safe against writers.
     template <typename F>
     void for_each(F&& fn) const {
-        if (locked_) {
-            locked_->for_each(std::forward<F>(fn));
-        } else {
-            lockfree_->for_each(std::forward<F>(fn));
+        for (std::uint64_t idx = 0; idx < table_.size(); ++idx) {
+            const std::uint64_t key = key_at_bucket(idx);
+            if (key != kEmpty) fn(key);
         }
     }
 
@@ -302,11 +255,42 @@ public:
     }
 
 private:
-    EdgeSetBackend backend_;
-    // Exactly one is non-null; dispatch tests `locked_` (a never-changing,
-    // perfectly predicted branch) so both paths stay inline-able.
-    std::unique_ptr<LockedEdgeSet> locked_;
-    std::unique_ptr<LockFreeEdgeSet> lockfree_;
+    /// True for the storable keys (0, 2^56-1).
+    [[nodiscard]] static constexpr bool in_domain(std::uint64_t key) noexcept {
+        return key - 1 < kTomb - 1;
+    }
+
+    /// Throws Error for a key outside (0, 2^56-1).
+    static void check_domain(std::uint64_t key);
+
+    [[nodiscard]] std::uint64_t home(std::uint64_t key) const noexcept {
+        return edge_hash(key) >> shift_;
+    }
+
+    /// The key stored in bucket `idx`, or 0 for an empty/tombstone bucket.
+    [[nodiscard]] std::uint64_t key_at_bucket(std::uint64_t idx) const noexcept {
+        const std::uint64_t key = table_[idx].load(std::memory_order_relaxed) & kKeyMask;
+        return (key == kTomb) ? kEmpty : key;
+    }
+
+    [[nodiscard]] std::atomic<std::uint8_t>& stripe(std::uint64_t key) noexcept {
+        return stripes_[(edge_hash(key) >> 8) & (kStripes - 1)];
+    }
+
+    void lock_stripe(std::atomic<std::uint8_t>& s) noexcept;
+    void note_psl(std::uint64_t distance) noexcept;
+
+    bool insert_impl(std::uint64_t key, std::uint64_t locked_state, std::uint64_t* slot_out,
+                     bool* exists_locked_out, EdgeSetDelta& delta);
+
+    static constexpr std::uint64_t kStripes = 4096;
+
+    std::vector<std::atomic<std::uint64_t>> table_;
+    std::vector<std::atomic<std::uint8_t>> stripes_;
+    std::uint64_t mask_ = 0;
+    unsigned shift_ = 64;
+    EdgeSetCounters counts_;
+    std::atomic<std::uint64_t> psl_max_{0}; ///< feeds the hashset.locked.psl_max gauge
 };
 
 } // namespace gesmc

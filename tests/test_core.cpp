@@ -309,8 +309,7 @@ void expect_edge_set_holds_graph(const Chain& chain, const std::string& where) {
 /// threshold within a few supersteps.
 EdgeList accept_heavy_graph() { return generate_gnp(4000, 0.001, 5); }
 
-/// Edge-set rebuilds so far on the default (locked) backend; counted only
-/// while metrics are enabled.
+/// Edge-set rebuilds so far; counted only while metrics are enabled.
 std::uint64_t locked_rebuilds() {
     return obs::MetricsRegistry::instance().counter("hashset.locked.rebuilds").total();
 }

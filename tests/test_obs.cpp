@@ -565,11 +565,6 @@ TEST(Obs, InstrumentationNeverChangesSampledBytes) {
         c.seed = 99;
         c.threads = 2;
         c.checkpoint_every = 2; // exercise the checkpoint + superstep spans
-        // The lock-free backend has the denser metrics hooks (CAS retry and
-        // PSL accounting); locked-vs-lockfree identity itself is asserted
-        // in test_pipeline, so instrumenting the lock-free path here keeps
-        // both contracts covered.
-        c.edge_set_backend = EdgeSetBackend::kLockFree;
         c.metrics = false;
         c.output_dir = (base_dir / tag).string();
         c.output_format = OutputFormat::kBinary;
@@ -613,12 +608,12 @@ TEST(Obs, InstrumentationNeverChangesSampledBytes) {
     const obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::instance().snapshot();
     EXPECT_GT(counter_value(snapshot, "chain.switches.attempted"), 0u);
-    // Per-backend hashset labels: the run used lockfree, so its family
-    // moved — and the locked family, never touched, was never registered
-    // ("idle layer contributes nothing").
-    EXPECT_GT(counter_value(snapshot, "hashset.lockfree.lookups"), 0u);
+    // The edge table counts its probes under the one hashset.locked.*
+    // family; no other hashset family exists to register.
+    EXPECT_GT(counter_value(snapshot, "hashset.locked.lookups"), 0u);
+    EXPECT_GT(counter_value(snapshot, "hashset.locked.inserts"), 0u);
     for (const auto& [name, value] : snapshot.counters) {
-        EXPECT_TRUE(name.rfind("hashset.locked.", 0) != 0)
+        EXPECT_TRUE(name.rfind("hashset.lockfree.", 0) != 0)
             << name << " = " << value;
     }
     const JsonValue trace = parse_json(trace_json);

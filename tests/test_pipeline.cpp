@@ -211,19 +211,8 @@ TEST(PipelineConfig, RejectsUnknownKeysAndBadValues) {
     EXPECT_THROW(apply_config_entry(c, "replicates", "many"), Error);
     EXPECT_THROW(apply_config_entry(c, "policy", "sideways"), Error);
     EXPECT_THROW(apply_config_entry(c, "prefetch", "maybe"), Error);
-    EXPECT_THROW(apply_config_entry(c, "edge-set-backend", "waitfree"), Error);
-}
-
-TEST(PipelineConfig, EdgeSetBackendParsesAndRoundTrips) {
-    PipelineConfig c;
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLocked); // default
-    apply_config_entry(c, "edge-set-backend", "lockfree");
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLockFree);
-    const PipelineConfig back =
-        read_pipeline_config_string(pipeline_config_to_string(c));
-    EXPECT_EQ(back.edge_set_backend, EdgeSetBackend::kLockFree);
-    apply_config_entry(c, "edge-set-backend", "locked");
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLocked);
+    // The edge table has one implementation, so there is no key to select one.
+    EXPECT_THROW(apply_config_entry(c, "edge-set-backend", "locked"), Error);
 }
 
 TEST(PipelineConfig, ValidateCatchesContradictions) {
@@ -551,54 +540,6 @@ TEST(Pipeline, SameConfigAndSeedGiveByteIdenticalOutputs) {
         EXPECT_NE(slurp(ra.replicates[0].output_path),
                   slurp(ra.replicates[1].output_path))
             << algo;
-    }
-}
-
-TEST(Pipeline, EdgeSetBackendsGiveByteIdenticalOutputs) {
-    // The ConcurrentEdgeSet backend is a pure performance knob: for every
-    // parallel chain, the locked and lock-free implementations must emit
-    // identical bytes under both schedule shapes.  naive-par-es is only
-    // deterministic at T = 1 (its outputs depend on chain-threads, see
-    // pipeline.cpp's warning), so it is compared under the replicates
-    // policy alone.
-    struct Cell {
-        const char* algo;
-        SchedulePolicy policy;
-        unsigned threads;
-        unsigned chain_threads;
-        const char* tag;
-    };
-    const Cell cells[] = {
-        {"par-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-        {"par-es", SchedulePolicy::kHybrid, 4, 2, "hyb"},
-        {"par-global-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-        {"par-global-es", SchedulePolicy::kHybrid, 4, 2, "hyb"},
-        {"naive-par-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-    };
-    for (const Cell& cell : cells) {
-        std::vector<RunReport> reports;
-        for (const EdgeSetBackend backend :
-             {EdgeSetBackend::kLocked, EdgeSetBackend::kLockFree}) {
-            const fs::path dir = scratch_dir(std::string("esb_") + cell.algo +
-                                             "_" + cell.tag + "_" +
-                                             to_string(backend));
-            PipelineConfig c = small_run_config(cell.algo, dir);
-            c.replicates = 4;
-            c.policy = cell.policy;
-            c.threads = cell.threads;
-            c.chain_threads = cell.chain_threads;
-            c.edge_set_backend = backend;
-            reports.push_back(run_pipeline(c));
-            ASSERT_TRUE(all_succeeded(reports.back()))
-                << cell.algo << " " << cell.tag << " " << to_string(backend);
-            EXPECT_EQ(reports.back().resolved_edge_set_backend, backend);
-        }
-        for (std::uint64_t r = 0; r < 4; ++r) {
-            ASSERT_FALSE(reports[0].replicates[r].output_path.empty());
-            EXPECT_EQ(slurp(reports[0].replicates[r].output_path),
-                      slurp(reports[1].replicates[r].output_path))
-                << cell.algo << " " << cell.tag << " replicate " << r;
-        }
     }
 }
 
