@@ -119,9 +119,10 @@ std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& co
 namespace {
 
 /// Folds the superstep's ChainStats delta into the chain.* counters.  Every
-/// driven run of every chain algorithm passes through run_checkpointed, so
-/// this one seam instruments all six chains (and resumed chains: the delta
-/// starts at the restored stats, never re-counting checkpointed work).
+/// driven run of every chain algorithm, fixed or adaptive, passes through
+/// run_to_budget, so this one seam instruments all six chains (and resumed
+/// chains: the delta starts at the restored stats, never re-counting
+/// checkpointed work).
 void count_chain_progress(const ChainStats& before, const ChainStats& after) {
     struct ChainCounters {
         obs::Counter& supersteps =
@@ -148,84 +149,61 @@ void count_chain_progress(const ChainStats& before, const ChainStats& after) {
 
 } // namespace
 
-void run_checkpointed(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
-                      RunObserver* observer, std::uint64_t replicate,
-                      const std::function<void()>& on_checkpoint_boundary) {
+void run_to_budget(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
+                   RunObserver* observer, std::uint64_t replicate,
+                   const std::function<void(bool finished)>& on_checkpoint_boundary,
+                   const StopRule* stop) {
     GESMC_CHECK(on_checkpoint_boundary != nullptr, "null checkpoint boundary");
+    GESMC_CHECK(stop == nullptr || stop->should_stop != nullptr, "null stop predicate");
+    GESMC_CHECK(stop == nullptr || stop->check_every >= 1, "check-every must be >= 1");
     std::uint64_t done = chain.stats().supersteps;
     GESMC_CHECK(done <= target, "chain is already past the target superstep count");
     const ChainStats before = chain.stats();
-    while (done < target) {
-        const std::uint64_t chunk = checkpoint_every > 0
-                                        ? std::min(checkpoint_every, target - done)
-                                        : target - done;
+    const auto stopped_at = [&](std::uint64_t s) {
+        return stop != nullptr && s >= stop->min_supersteps &&
+               s % stop->check_every == 0 && stop->should_stop();
+    };
+    // Chunks end on the next check step (so the chain never overruns a stop
+    // verdict) and on the next absolute checkpoint multiple (so a resumed
+    // run sees the uninterrupted run's boundary points).
+    const auto next_boundary = [&](std::uint64_t s) {
+        std::uint64_t next = target;
+        if (stop != nullptr) {
+            std::uint64_t check = std::max(s + 1, stop->min_supersteps);
+            if (check % stop->check_every != 0) {
+                check += stop->check_every - check % stop->check_every;
+            }
+            next = std::min(next, check);
+        }
+        if (checkpoint_every > 0) {
+            next = std::min(next, s + checkpoint_every - s % checkpoint_every);
+        }
+        return next;
+    };
+    bool stopped = stopped_at(done);
+    while (done < target && !stopped) {
+        const std::uint64_t next = next_boundary(done);
         if (obs::trace_enabled()) {
             // Per-superstep spans: split the chunk into single supersteps.
             // Byte-identical to the chunked path — randomness is counter-
             // based, so split points never change the trajectory (the same
             // property checkpoint/resume relies on).
-            for (std::uint64_t s = 0; s < chunk; ++s) {
+            for (std::uint64_t s = done; s < next; ++s) {
                 obs::TraceSpan span("superstep", "core",
-                                    {{"replicate", replicate}, {"superstep", done + s}});
+                                    {{"replicate", replicate}, {"superstep", s}});
                 chain.run_supersteps(1, observer, replicate);
             }
         } else {
-            chain.run_supersteps(chunk, observer, replicate);
-        }
-        done += chunk;
-        if (done < target) on_checkpoint_boundary();
-    }
-    on_checkpoint_boundary(); // completion boundary: the finished marker
-    if (obs::metrics_enabled()) count_chain_progress(before, chain.stats());
-}
-
-void run_adaptive_checkpointed(Chain& chain, std::uint64_t max_target,
-                               std::uint64_t min_supersteps, std::uint64_t check_every,
-                               std::uint64_t checkpoint_every, RunObserver* observer,
-                               std::uint64_t replicate,
-                               const std::function<bool()>& should_stop,
-                               const std::function<void()>& on_checkpoint_boundary) {
-    GESMC_CHECK(should_stop != nullptr, "null stop predicate");
-    GESMC_CHECK(on_checkpoint_boundary != nullptr, "null checkpoint boundary");
-    GESMC_CHECK(check_every >= 1, "check-every must be >= 1");
-    std::uint64_t done = chain.stats().supersteps;
-    GESMC_CHECK(done <= max_target, "chain is already past the adaptive budget");
-    const ChainStats before = chain.stats();
-    // Smallest check step strictly after s — chunks end exactly on check
-    // steps so the chain never overruns a stop verdict (overrunning would
-    // make the realized superstep count depend on chunk sizes).
-    const auto next_check = [&](std::uint64_t s) {
-        std::uint64_t t = std::max(s + 1, min_supersteps);
-        if (t % check_every != 0) t += check_every - t % check_every;
-        return t;
-    };
-    while (done < max_target && !should_stop()) {
-        std::uint64_t next = std::min(max_target, next_check(done));
-        if (checkpoint_every > 0) {
-            next = std::min(next, done + checkpoint_every - done % checkpoint_every);
-        }
-        const std::uint64_t chunk = next - done;
-        if (obs::trace_enabled()) {
-            // Same per-superstep span splitting as run_checkpointed; the
-            // trajectory is split-invariant either way.
-            for (std::uint64_t s = 0; s < chunk; ++s) {
-                obs::TraceSpan span("superstep", "core",
-                                    {{"replicate", replicate}, {"superstep", done + s}});
-                chain.run_supersteps(1, observer, replicate);
-            }
-        } else {
-            chain.run_supersteps(chunk, observer, replicate);
+            chain.run_supersteps(next - done, observer, replicate);
         }
         done = next;
-        // Mid-run checkpoints only on absolute multiples of the cadence —
-        // never on a plain check step — so the set of boundary points a
-        // resumed run sees matches the uninterrupted run's.
-        const bool finished = done == max_target || should_stop();
-        if (!finished && checkpoint_every > 0 && done % checkpoint_every == 0) {
-            on_checkpoint_boundary();
+        stopped = stopped_at(done);
+        if (done < target && !stopped && checkpoint_every > 0 &&
+            done % checkpoint_every == 0) {
+            on_checkpoint_boundary(false);
         }
     }
-    on_checkpoint_boundary(); // completion boundary: the finished marker
+    on_checkpoint_boundary(true); // completion boundary: the finished marker
     if (obs::metrics_enabled()) count_chain_progress(before, chain.stats());
 }
 

@@ -69,15 +69,21 @@ struct ChainConfig {
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
 };
 
-/// Counters accumulated while running a chain.
+/// Counters accumulated while running a chain.  Determinism contract:
+/// supersteps, attempted, accepted and the two rejection counts are a pure
+/// function of the trajectory, like the graph.  The round counts are one
+/// only at a single thread: with more, a switch may resolve in the round
+/// its dependency's verdict becomes visible, so they vary with thread
+/// timing.  The seconds are wall-clock.
 struct ChainStats {
     std::uint64_t supersteps = 0;
     std::uint64_t attempted = 0;      ///< switches attempted
     std::uint64_t accepted = 0;       ///< switches that rewired the graph
     std::uint64_t rejected_loop = 0;  ///< rejected: target was a loop
     std::uint64_t rejected_edge = 0;  ///< rejected: target existed / conflict
-    std::uint64_t rounds_total = 0;   ///< ParallelSuperstep rounds (parallel chains)
-    std::uint64_t rounds_max = 0;     ///< max rounds over supersteps
+    std::uint64_t rounds_total = 0;   ///< ParallelSuperstep rounds (parallel
+                                      ///< chains); reproducible at T = 1 only
+    std::uint64_t rounds_max = 0;     ///< max rounds over supersteps; ditto
     double first_round_seconds = 0;   ///< time spent in first rounds (Fig. 9)
     double later_rounds_seconds = 0;  ///< time spent in rounds >= 2 (Fig. 9)
 };
@@ -237,33 +243,29 @@ std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,
 /// fields are overridden by the state's).
 std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& config);
 
-/// Drives `chain` to `target` *total* supersteps (counting any restored
-/// ones) in checkpoint-sized chunks: with checkpoint_every > 0,
-/// `on_checkpoint_boundary` runs after every `checkpoint_every` supersteps;
-/// it always runs once more at completion — including when the chain is
-/// already at the target — so the final state can be persisted as a
-/// finished marker.  The single cadence shared by the pipeline scheduler
-/// and the tools (their resume semantics must never diverge).  Throws if
-/// the chain is already past `target`.
-void run_checkpointed(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
-                      RunObserver* observer, std::uint64_t replicate,
-                      const std::function<void()>& on_checkpoint_boundary);
+/// An adaptive budget's stop rule: `should_stop` is polled only at
+/// *absolute check steps* (s >= min_supersteps and s % check_every == 0).
+struct StopRule {
+    std::uint64_t min_supersteps = 0;
+    std::uint64_t check_every = 1;
+    std::function<bool()> should_stop;
+};
 
-/// Adaptive-budget variant of run_checkpointed: drives `chain` until
-/// `should_stop()` returns true or `max_target` total supersteps, whichever
-/// comes first.  `should_stop` is polled only at *absolute check steps*
-/// (s >= min_supersteps and s % check_every == 0) and at max_target — and
-/// the chain is advanced in chunks that end exactly on those steps, so the
-/// realized stopping point is a pure function of the superstep stream,
-/// never of chunking, checkpoint cadence or resume position.  Checkpoints
-/// land on absolute multiples of checkpoint_every for the same reason.
-/// `on_checkpoint_boundary` always runs once more at completion (the
-/// finished marker), exactly like run_checkpointed.
-void run_adaptive_checkpointed(Chain& chain, std::uint64_t max_target,
-                               std::uint64_t min_supersteps, std::uint64_t check_every,
-                               std::uint64_t checkpoint_every, RunObserver* observer,
-                               std::uint64_t replicate,
-                               const std::function<bool()>& should_stop,
-                               const std::function<void()>& on_checkpoint_boundary);
+/// The one superstep driver: advances `chain` to `target` *total*
+/// supersteps (counting any restored ones), or until `stop` fires at a
+/// check step.  A fixed budget is the call with no stop rule.  Chunks end
+/// exactly on check steps and on absolute multiples of checkpoint_every, so
+/// the realized stopping point and the set of checkpoint boundaries are
+/// pure functions of the superstep stream, never of chunking or resume
+/// position.  `on_checkpoint_boundary(false)` runs at every such multiple
+/// the run passes without finishing; `on_checkpoint_boundary(true)` runs
+/// exactly once at completion — also when the chain is already at the
+/// target — so the final state can be persisted as a finished marker.
+/// Shared by the pipeline's fixed and adaptive runs (their resume semantics
+/// must never diverge).  Throws if the chain is already past `target`.
+void run_to_budget(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
+                   RunObserver* observer, std::uint64_t replicate,
+                   const std::function<void(bool finished)>& on_checkpoint_boundary,
+                   const StopRule* stop = nullptr);
 
 } // namespace gesmc

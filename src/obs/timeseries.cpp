@@ -36,17 +36,6 @@ const HistogramSnapshot* histogram_at(const MetricsSnapshot& snap,
     return nullptr;
 }
 
-void write_executor_json(JsonWriter& w, const ExecutorStats& e) {
-    w.begin_object();
-    w.kv("threads", e.threads);
-    w.kv("leased", e.leased);
-    w.kv("lease_waiters", e.lease_waiters);
-    w.kv("active_runs", e.active_runs);
-    w.kv("pending_replicates", e.pending_replicates);
-    w.kv("inflight_replicates", e.inflight_replicates);
-    w.end_object();
-}
-
 void write_tick_fields(JsonWriter& w, const TelemetryTick& tick) {
     w.kv("seq", tick.sequence);
     w.kv("ts_ms", tick.ts_ms);
@@ -130,6 +119,21 @@ void append_double(std::string& out, double value) {
 }
 
 } // namespace
+
+std::vector<std::pair<std::string, std::uint64_t>> executor_fields(const ExecutorStats& e) {
+    return {{"threads", e.threads},
+            {"leased", e.leased},
+            {"lease_waiters", e.lease_waiters},
+            {"active_runs", e.active_runs},
+            {"pending_replicates", e.pending_replicates},
+            {"inflight_replicates", e.inflight_replicates}};
+}
+
+void write_executor_json(JsonWriter& w, const ExecutorStats& e) {
+    w.begin_object();
+    for (const auto& [name, value] : executor_fields(e)) w.kv(name, value);
+    w.end_object();
+}
 
 // ---------------------------------------------------------- rate math
 

@@ -80,6 +80,17 @@ struct TelemetryTick {
                                            const MetricsSnapshot& current,
                                            double interval_s);
 
+/// Executor occupancy as named fields (`threads`, `leased`,
+/// `lease_waiters`, `active_runs`, `pending_replicates`,
+/// `inflight_replicates`): the one spelling of ExecutorStats that every
+/// export shares.
+[[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+executor_fields(const ExecutorStats& e);
+
+/// executor_fields as one JSON object — the `executor` member of telemetry
+/// ticks and of the daemon's `metrics` frame.
+void write_executor_json(JsonWriter& w, const ExecutorStats& e);
+
 /// Emits one tick as a single-line NDJSON row (no trailing newline) — the
 /// `--telemetry-out` schema (docs/observability.md).
 [[nodiscard]] std::string telemetry_tick_ndjson(const TelemetryTick& tick);

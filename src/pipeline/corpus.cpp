@@ -540,6 +540,7 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
     // replicates of different graphs interleave instead of graphs running
     // serially, and the summed leased width never exceeds the budget.
     SharedExecutor executor(plan.base.threads);
+    if (hooks.on_start != nullptr) hooks.on_start(executor);
 
     if (log != nullptr) {
         const ResolvedSchedule schedule = executor.resolve(

@@ -43,6 +43,8 @@
 
 namespace gesmc {
 
+class SharedExecutor;
+
 /// One member of an expanded corpus.
 struct CorpusInput {
     std::string name; ///< unique id; becomes the shard's output subdirectory
@@ -141,6 +143,10 @@ struct CorpusReport {
 struct CorpusHooks {
     std::function<void(std::size_t graph, const ReplicateReport&)> on_replicate_done;
     std::function<void(std::size_t graph, const RunReport&)> on_graph_done;
+    /// Called once before any shard starts with the executor every cell
+    /// runs on (valid until run_corpus returns): a live view of the
+    /// corpus's load through SharedExecutor::stats().
+    std::function<void(const SharedExecutor&)> on_start;
 };
 
 /// Runs the whole corpus over one thread budget (base.threads).  Every

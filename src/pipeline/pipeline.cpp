@@ -504,7 +504,7 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                                           adaptive_max_thinning(config.max_supersteps));
                     }
                 }
-                const auto checkpoint_boundary = [&](bool replicate_done) {
+                const auto checkpoint_boundary = [&](bool finished) {
                     if (config.checkpoint_every == 0) return;
                     const std::string path =
                         checkpoint_path(config.output_dir, config, index);
@@ -529,30 +529,25 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                     // resume point — stop here instead of running to the
                     // target.  The completion boundary never throws (the
                     // replicate is done; finishing beats discarding it).
-                    if (interrupted() && !replicate_done) {
+                    if (interrupted() && !finished) {
                         throw InterruptReplicate{state.stats.supersteps};
                     }
                 };
                 // Snapshots are exact at superstep boundaries; the final
                 // one marks the replicate finished so a resume can skip it.
+                // A fixed budget runs with no stop rule; an adaptive one
+                // feeds every superstep to its estimator and stops on its
+                // verdict.
+                std::optional<EssFeed> feed;
+                std::optional<StopRule> stop;
                 if (config.adaptive) {
-                    EssFeed feed(&*estimator, effective_observer);
-                    run_adaptive_checkpointed(
-                        *chain, target_supersteps, config.min_supersteps,
-                        config.check_every, config.checkpoint_every, &feed,
-                        index, [&] { return estimator->stopped(); },
-                        [&] {
-                            const std::uint64_t done = chain->stats().supersteps;
-                            checkpoint_boundary(done == target_supersteps ||
-                                                estimator->stopped());
-                        });
-                } else {
-                    run_checkpointed(*chain, config.supersteps, config.checkpoint_every,
-                                     effective_observer, index, [&] {
-                        checkpoint_boundary(chain->stats().supersteps ==
-                                            config.supersteps);
-                    });
+                    feed.emplace(&*estimator, effective_observer);
+                    stop = StopRule{config.min_supersteps, config.check_every,
+                                    [&] { return estimator->stopped(); }};
                 }
+                run_to_budget(*chain, target_supersteps, config.checkpoint_every,
+                              feed ? &*feed : effective_observer, index,
+                              checkpoint_boundary, stop ? &*stop : nullptr);
                 out.stats = chain->stats();
             }
             if (config.adaptive) {

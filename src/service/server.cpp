@@ -80,14 +80,7 @@ std::string metrics_event_body(const ServiceStats& stats) {
     w.kv("event", "metrics");
 
     w.key("executor");
-    w.begin_object();
-    w.kv("threads", stats.executor.threads);
-    w.kv("leased_width", stats.executor.leased);
-    w.kv("lease_waiters", stats.executor.lease_waiters);
-    w.kv("active_runs", stats.executor.active_runs);
-    w.kv("pending_replicates", stats.executor.pending_replicates);
-    w.kv("inflight_replicates", stats.executor.inflight_replicates);
-    w.end_object();
+    obs::write_executor_json(w, stats.executor);
 
     w.key("jobs");
     w.begin_object();
@@ -505,21 +498,10 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
         // The registry plus the daemon's live executor occupancy as
         // synthetic gauges — a scrape is useful even when collection is off.
         obs::MetricsSnapshot snapshot = obs::MetricsRegistry::instance().snapshot();
-        const ExecutorStats exec = manager_.stats().executor;
-        snapshot.gauges.emplace_back("executor.threads",
-                                     static_cast<std::int64_t>(exec.threads));
-        snapshot.gauges.emplace_back("executor.leased",
-                                     static_cast<std::int64_t>(exec.leased));
-        snapshot.gauges.emplace_back("executor.lease_waiters",
-                                     static_cast<std::int64_t>(exec.lease_waiters));
-        snapshot.gauges.emplace_back("executor.active_runs",
-                                     static_cast<std::int64_t>(exec.active_runs));
-        snapshot.gauges.emplace_back(
-            "executor.pending_replicates",
-            static_cast<std::int64_t>(exec.pending_replicates));
-        snapshot.gauges.emplace_back(
-            "executor.inflight_replicates",
-            static_cast<std::int64_t>(exec.inflight_replicates));
+        for (const auto& [name, value] : obs::executor_fields(manager_.stats().executor)) {
+            snapshot.gauges.emplace_back("executor." + name,
+                                         static_cast<std::int64_t>(value));
+        }
         std::ostringstream os;
         obs::write_metrics_prometheus(os, snapshot);
         write_all(fd, json_event_frame("{\"event\": \"prom\", \"exposition\": " +

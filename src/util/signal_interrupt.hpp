@@ -1,12 +1,12 @@
 /// \file signal_interrupt.hpp
-/// \brief Shared SIGINT/SIGTERM-to-flag plumbing for the checkpointing CLIs.
+/// \brief SIGINT/SIGTERM-to-flag plumbing for the checkpointing CLI.
 ///
-/// gesmc_sample and gesmc_randomize stop at checkpoint boundaries instead
-/// of dying mid-write: the handlers installed here only set a process-wide
-/// flag the run loop polls (PipelineExec::interrupt, or the tool's own
-/// boundary check).  Install only when checkpointing is on — without
-/// checkpoints there is no consistent state to stop at, so the default
-/// die-now behavior is the honest one.
+/// gesmc_sample stops at checkpoint boundaries instead of dying mid-write:
+/// the handlers installed here only set a process-wide flag the pipeline
+/// polls at every checkpoint boundary (PipelineExec::interrupt), and the
+/// tool exits 130 with a `--resume` hint.  Install only when checkpointing
+/// is on — without checkpoints there is no consistent state to stop at, so
+/// the default die-now behavior is the honest one.
 #pragma once
 
 #include <atomic>

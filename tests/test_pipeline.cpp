@@ -15,12 +15,14 @@
 #include "pipeline/report.hpp"
 #include "pipeline/scheduler.hpp"
 #include "pipeline/seeds.hpp"
+#include "pipeline/shared_executor.hpp"
 #include "service/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -1028,12 +1030,41 @@ TEST(Corpus, ReplicatesOfDifferentGraphsInterleaveOverOneBudget) {
     base.threads = 2;
     base.policy = SchedulePolicy::kReplicates;
 
+    // Coordinators materialize their graphs at their own pace, so one shard
+    // may be queued well before the others.  To measure the executor's pop
+    // order rather than coordinator start-up, the first task each of the
+    // two workers finishes is held until all three shards have queued their
+    // remaining cells (24 cells, 2 of them popped).
+    constexpr std::uint64_t kHeld = 2;
+    constexpr std::uint64_t kQueuedOnceAllSubmitted = 24 - kHeld;
+    std::atomic<const SharedExecutor*> executor{nullptr};
+    std::atomic<bool> all_queued{false};
     std::mutex mutex;
     std::vector<std::size_t> completion_graphs;
     CorpusHooks hooks;
+    hooks.on_start = [&](const SharedExecutor& e) { executor = &e; };
     hooks.on_replicate_done = [&](std::size_t graph, const ReplicateReport&) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        completion_graphs.push_back(graph);
+        std::size_t position = 0;
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            position = completion_graphs.size();
+            completion_graphs.push_back(graph);
+        }
+        if (position >= kHeld) return;
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!all_queued.load()) {
+            const ExecutorStats stats = executor.load()->stats();
+            // Both holders are blocked here once this holds, so no further
+            // pop can move the count before the latch releases them.
+            if (stats.active_runs == 3 &&
+                stats.pending_replicates == kQueuedOnceAllSubmitted) {
+                all_queued.store(true);
+                return;
+            }
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "shards never queued all their cells";
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
     };
     const CorpusReport report = run_corpus(plan_corpus(base), nullptr, nullptr, hooks);
     ASSERT_TRUE(all_succeeded(report));
@@ -1045,8 +1076,8 @@ TEST(Corpus, ReplicatesOfDifferentGraphsInterleaveOverOneBudget) {
     }
     // Round-robin popping alternates graphs nearly every task (~22 of 23
     // transitions); serial graph execution would give exactly 2.  A low
-    // bar keeps the assertion robust to scheduling jitter while still
-    // ruling out any serial ordering.
+    // bar keeps the assertion robust to two workers finishing out of pop
+    // order while still ruling out any serial ordering.
     EXPECT_GE(switches, 6u) << "completion order looks serial per graph";
 }
 

@@ -1009,6 +1009,14 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
 
     // A metrics request answers with one snapshot frame: executor occupancy,
     // per-status job counts, per-job throughput, and the metrics registry.
+    // Its executor object is the telemetry tick's (one serializer): the key
+    // sets are compared against the watch frames below.
+    const auto member_names = [](const JsonValue& object) {
+        std::vector<std::string> names;
+        for (const auto& [name, value] : object.object_members) names.push_back(name);
+        return names;
+    };
+    std::vector<std::string> metrics_executor_keys;
     {
         const FdHandle fd = connect_unix(socket_path);
         Request request;
@@ -1022,7 +1030,9 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
         const JsonValue* executor = metrics.find("executor");
         ASSERT_NE(executor, nullptr);
         EXPECT_EQ(executor->uint_member("threads"), 2u);
+        EXPECT_EQ(executor->uint_member("leased"), 0u);
         EXPECT_EQ(executor->uint_member("active_runs"), 0u);
+        metrics_executor_keys = member_names(*executor);
         const JsonValue* jobs = metrics.find("jobs");
         ASSERT_NE(jobs, nullptr);
         EXPECT_EQ(jobs->uint_member("succeeded"), 2u);
@@ -1089,6 +1099,7 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
             last_seq = seq;
             ASSERT_NE(tick.find("executor"), nullptr);
             EXPECT_EQ(tick.find("executor")->uint_member("threads"), 2u);
+            EXPECT_EQ(member_names(*tick.find("executor")), metrics_executor_keys);
             ASSERT_NE(tick.find("rates"), nullptr);
             ++ticks;
         }
