@@ -6,7 +6,10 @@
 /// {1, 2, ..., 2*hardware} (oversubscription included to show the
 /// saturation point) on a size ladder from the corpus.  Expected shape:
 /// speed-up grows with P up to the physical core count and improves with
-/// graph size.
+/// graph size.  The chains run with the default small_graph_cutoff, so the
+/// P = 1 column is the sequential base case (one-thread chains never build
+/// the superstep), and graphs below the cutoff take the base case at every
+/// P: the speed-up is against the fastest one-thread path.
 #include "bench_util/harness.hpp"
 #include "gen/corpus.hpp"
 #include "util/format.hpp"

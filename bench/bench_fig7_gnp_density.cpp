@@ -5,7 +5,9 @@
 /// {32, 64}.  Ours: m in {2^16, 2^18}, P = hardware concurrency.  Expected
 /// shape: at fixed m the runtime is essentially flat in the average degree
 /// (G(n,p) is near-regular, so Theorem 2 bounds the rounds by a constant —
-/// density does not matter).
+/// density does not matter).  small_graph_cutoff = 0 pins Algorithm 3's
+/// superstep at every m (a one-thread host still runs the base case, whose
+/// rounds read 0).
 #include "bench_util/harness.hpp"
 #include "gen/gnp.hpp"
 #include "util/format.hpp"
@@ -36,6 +38,7 @@ int main() {
             ChainConfig config;
             config.seed = 11;
             config.threads = pmax;
+            config.small_graph_cutoff = 0;
             const auto r = time_chain(ChainAlgorithm::kParGlobalES, graph, config, kSupersteps);
             const double per_edge_ns =
                 r.seconds / static_cast<double>(kSupersteps * graph.num_edges()) * 1e9;

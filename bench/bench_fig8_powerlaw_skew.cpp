@@ -7,6 +7,8 @@
 /// P = hardware concurrency.  Expected shape: runtime per edge increases
 /// as gamma approaches 2 (skewed degrees concentrate target dependencies,
 /// Theorem 3) and flattens for larger gamma; mean rounds mirror that.
+/// small_graph_cutoff = 0 pins Algorithm 3's superstep at every m (a
+/// one-thread host still runs the base case, whose rounds read 0).
 #include "bench_util/harness.hpp"
 #include "gen/corpus.hpp"
 #include "graph/degree_sequence.hpp"
@@ -36,6 +38,7 @@ int main() {
             ChainConfig config;
             config.seed = 13;
             config.threads = pmax;
+            config.small_graph_cutoff = 0;
             const auto r = time_chain(ChainAlgorithm::kParGlobalES, graph, config, kSupersteps);
             const double per_edge_ns =
                 r.seconds / static_cast<double>(kSupersteps * graph.num_edges()) * 1e9;

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 using namespace gesmc;
 
@@ -43,7 +44,10 @@ int main(int argc, char** argv) {
               << "%), " << st.rejected_loop << " loop / " << st.rejected_edge
               << " multi-edge rejections\n"
               << "   mean rounds per global switch: "
-              << fmt_double(double(st.rounds_total) / double(st.supersteps), 2) << "\n"
+              << (st.rounds_total == 0
+                      ? std::string("none (sequential base case: one thread or a small graph)")
+                      : fmt_double(double(st.rounds_total) / double(st.supersteps), 2))
+              << "\n"
               << "   wall time: " << fmt_seconds(secs) << " ("
               << fmt_si(double(st.attempted) / secs) << " switches/s)\n\n";
 

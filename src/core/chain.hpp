@@ -32,6 +32,27 @@ namespace gesmc {
 
 class ThreadPool;
 
+/// Default small-graph cutoff (ChainConfig::small_graph_cutoff, the
+/// pipeline's `small-cutoff` key).  Measured on a 4-vCPU VM
+/// (bench_small_cutoff, bench_fig6_strong_scaling): ParGlobalES at P = 4
+/// beats its sequential base case from about m = 130k (G(n, p): ratio
+/// 0.92–1.17 at 130k, below 1 from 262k; a 179k-edge grid 0.92–1.03);
+/// at P = 2 it beat it nowhere up to m = 2.1M, so no edge count
+/// below the 2M-edge benchmark graph serves P = 2.  Crossover table:
+/// README.md, "small-cutoff".
+inline constexpr std::uint64_t kDefaultSmallGraphCutoff = std::uint64_t{1} << 17;
+
+/// The path choice of the exact parallel chains (ParGlobalES, ParES), made
+/// once at construction: true when every switch runs through the
+/// sequential base case — the pool has one thread (the superstep cannot
+/// pay: no parallelism, all of its bookkeeping), or the graph has fewer
+/// than `cutoff` edges.  Such a chain never builds the superstep's
+/// dependency table and scratch arrays.
+[[nodiscard]] constexpr bool runs_sequential_base_case(unsigned threads, std::uint64_t num_edges,
+                                                       std::uint64_t cutoff) noexcept {
+    return threads <= 1 || num_edges < cutoff;
+}
+
 /// Tuning knobs shared by all chain implementations.
 struct ChainConfig {
     std::uint64_t seed = 1;
@@ -57,13 +78,15 @@ struct ChainConfig {
     /// Enables the prefetching switch pipeline (paper §5.4).
     bool prefetch = true;
 
-    /// ParGlobalES: graphs with fewer edges than this execute each global
-    /// switch sequentially instead of through ParallelSuperstep — the
-    /// "dedicated base cases for small graphs" the paper's §7 proposes to
-    /// cut synchronization overhead. 0 disables the base case (the paper's
-    /// plain Algorithm 3). The produced graphs are identical either way
-    /// (sequential execution is what the superstep reproduces).
-    std::uint64_t small_graph_cutoff = 0;
+    /// ParGlobalES and ParES: graphs with fewer edges than this run every
+    /// switch through the sequential base case instead of the superstep
+    /// machinery — the "dedicated base cases for small graphs" the paper's
+    /// §7 proposes to cut synchronization overhead.  One-thread chains take
+    /// the base case at any m, so 0 means "superstep at T >= 2" (the
+    /// paper's plain Algorithms 2 and 3).  The produced graphs are
+    /// identical either way (sequential execution is what the superstep
+    /// reproduces).  See runs_sequential_base_case.
+    std::uint64_t small_graph_cutoff = kDefaultSmallGraphCutoff;
 
     /// Exists only so perfbench/ builds; nothing reads it (docs/hashing.md).
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
@@ -71,10 +94,12 @@ struct ChainConfig {
 
 /// Counters accumulated while running a chain.  Determinism contract:
 /// supersteps, attempted, accepted and the two rejection counts are a pure
-/// function of the trajectory, like the graph.  The round counts are one
-/// only at a single thread: with more, a switch may resolve in the round
-/// its dependency's verdict becomes visible, so they vary with thread
-/// timing.  The seconds are wall-clock.
+/// function of the trajectory, like the graph.  The round counts (and
+/// ParES::mean_superstep_length) are 0 whenever the sequential base case
+/// ran — one thread, or fewer edges than small_graph_cutoff (see
+/// runs_sequential_base_case).  On the superstep path they vary with
+/// thread timing: a switch may resolve in the round its dependency's
+/// verdict becomes visible.  The seconds are wall-clock.
 struct ChainStats {
     std::uint64_t supersteps = 0;
     std::uint64_t attempted = 0;      ///< switches attempted
@@ -82,7 +107,7 @@ struct ChainStats {
     std::uint64_t rejected_loop = 0;  ///< rejected: target was a loop
     std::uint64_t rejected_edge = 0;  ///< rejected: target existed / conflict
     std::uint64_t rounds_total = 0;   ///< ParallelSuperstep rounds (parallel
-                                      ///< chains); reproducible at T = 1 only
+                                      ///< chains); 0 on the base case
     std::uint64_t rounds_max = 0;     ///< max rounds over supersteps; ditto
     double first_round_seconds = 0;   ///< time spent in first rounds (Fig. 9)
     double later_rounds_seconds = 0;  ///< time spent in rounds >= 2 (Fig. 9)

@@ -1,5 +1,6 @@
 #include "core/par_es.hpp"
 
+#include "core/sequential_apply.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 
@@ -49,12 +50,15 @@ ParES::ParES(const EdgeList& initial, const ChainConfig& config)
     : edges_(initial),
       set_(initial.num_edges()),
       stream_(config.seed, initial.num_edges()),
-      pool_(make_pool_ref(config.shared_pool, config.threads)),
-      index_map_(initial.num_edges(), pool_->num_threads()),
-      runner_(initial.num_edges(), config.prefetch) {
+      pool_(make_pool_ref(config.shared_pool, config.threads)) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     set_.insert_unique_all(*pool_, edges_.keys());
+    if (!runs_sequential_base_case(pool_->num_threads(), initial.num_edges(),
+                                   config.small_graph_cutoff)) {
+        index_map_.emplace(initial.num_edges(), pool_->num_threads());
+        runner_.emplace(initial.num_edges(), config.prefetch);
+    }
 }
 
 ParES::ParES(const ChainState& state, const ChainConfig& config)
@@ -92,14 +96,18 @@ void ParES::run_supersteps(std::uint64_t count, RunObserver* observer,
                            std::uint64_t replicate) {
     const std::uint64_t per_superstep = edges_.num_edges() / 2;
     for (std::uint64_t s = 0; s < count; ++s) {
-        run_switch_range(next_switch_ + per_superstep);
+        if (runner_) {
+            run_switch_range(next_switch_ + per_superstep);
+        } else {
+            run_switch_range_sequential(next_switch_ + per_superstep);
+        }
         ++stats_.supersteps;
         if (observer != nullptr) observer->on_superstep(replicate, *this);
     }
 }
 
 std::uint64_t ParES::find_window_end(std::uint64_t s, std::uint64_t cap) {
-    index_map_.reset(*pool_);
+    index_map_->reset(*pool_);
     std::atomic<std::uint64_t> bound{cap};
     // Expected window length is Theta(sqrt(m)) (paper §3); scan in chunks of
     // that order, doubling, so we rarely overshoot by more than 2x.
@@ -117,7 +125,7 @@ std::uint64_t ParES::find_window_end(std::uint64_t s, std::uint64_t cap) {
                 const Switch sw = stream_.get(k);
                 const auto ki = static_cast<std::uint32_t>(k);
                 for (const std::uint32_t edge_idx : {sw.i, sw.j}) {
-                    const std::uint32_t prev = index_map_.insert_if_min(edge_idx, ki, tid);
+                    const std::uint32_t prev = index_map_->insert_if_min(edge_idx, ki, tid);
                     if (prev == MinIndexMap::kNone) continue;
                     // Collision: the later of the two indices bounds the
                     // window (paper: t' = max{k, k'}, t = min{t, t'}).
@@ -149,7 +157,7 @@ void ParES::run_switch_range(std::uint64_t end) {
             for (std::uint64_t k = lo; k < hi; ++k) window_[k - s] = stream_.get(k);
         });
 
-        const SuperstepResult result = runner_.run(*pool_, edges_.keys(), set_, window_);
+        const SuperstepResult result = runner_->run(*pool_, edges_.keys(), set_, window_);
         stats_.attempted += t - s;
         stats_.accepted += result.accepted;
         stats_.rejected_loop += result.rejected_loop;
@@ -163,6 +171,17 @@ void ParES::run_switch_range(std::uint64_t end) {
         set_.maybe_rebuild(*pool_);
         next_switch_ = t;
     }
+}
+
+void ParES::run_switch_range_sequential(std::uint64_t end) {
+    UniqueWriter writer(set_);
+    for (std::uint64_t k = next_switch_; k < end; ++k) {
+        apply_switch_sequential(edges_.keys(), writer, stream_.get(k), stats_);
+    }
+    writer.commit();
+    stats_.attempted += end - next_switch_;
+    set_.maybe_rebuild(*pool_);
+    next_switch_ = end;
 }
 
 } // namespace gesmc

@@ -13,6 +13,11 @@
 /// use a direct-addressed array over the m edge indices (one CAS-min per
 /// access, reset via touched lists), which implements the identical
 /// insert_if_min semantics with fewer indirections.
+///
+/// One-thread chains and graphs below ChainConfig::small_graph_cutoff run
+/// the sequential base case instead (runs_sequential_base_case): they
+/// apply the switch stream in order, as SeqES does, and never build the
+/// MinIndexMap or the SuperstepRunner.
 #pragma once
 
 #include "core/chain.hpp"
@@ -24,6 +29,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace gesmc {
@@ -71,13 +77,17 @@ public:
 
     /// Average length of the dependency-free prefixes executed by *this*
     /// chain object (the paper's Theta(sqrt(m)) expectation for ES-MC,
-    /// §3).  On a restored chain the average covers the windows since the
-    /// restore — window counts are not part of ChainState.
+    /// §3); 0 on the base case, which executes no windows.  On a restored
+    /// chain the average covers the windows since the restore — window
+    /// counts are not part of ChainState.
     [[nodiscard]] double mean_superstep_length() const;
 
 private:
     /// Executes switches [next_switch_, end) of the stream in windows.
     void run_switch_range(std::uint64_t end);
+
+    /// §7 base case: executes switches [next_switch_, end) in order.
+    void run_switch_range_sequential(std::uint64_t end);
 
     /// Finds the end t of the maximal source-dependency-free window
     /// starting at s (exclusive end, capped at `cap`).
@@ -87,8 +97,8 @@ private:
     ConcurrentEdgeSet set_;
     SwitchStream stream_;
     PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
-    MinIndexMap index_map_;
-    SuperstepRunner runner_;
+    std::optional<MinIndexMap> index_map_; ///< empty on the §7 base case
+    std::optional<SuperstepRunner> runner_; ///< ditto
     std::vector<Switch> window_;
     std::uint64_t next_switch_ = 0;
     std::uint64_t windows_executed_ = 0;

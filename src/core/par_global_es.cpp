@@ -1,6 +1,7 @@
 #include "core/par_global_es.hpp"
 
 #include "core/seq_global_es.hpp" // sample_global_switch
+#include "core/sequential_apply.hpp"
 #include "util/check.hpp"
 
 namespace gesmc {
@@ -10,12 +11,14 @@ ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
       set_(initial.num_edges()),
       seed_(config.seed),
       pl_(config.pl),
-      small_graph_cutoff_(config.small_graph_cutoff),
-      pool_(make_pool_ref(config.shared_pool, config.threads)),
-      runner_(initial.num_edges() / 2, config.prefetch) {
+      pool_(make_pool_ref(config.shared_pool, config.threads)) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     set_.insert_unique_all(*pool_, edges_.keys());
+    if (!runs_sequential_base_case(pool_->num_threads(), initial.num_edges(),
+                                   config.small_graph_cutoff)) {
+        runner_.emplace(initial.num_edges() / 2, config.prefetch);
+    }
 }
 
 ParGlobalES::ParGlobalES(const ChainState& state, const ChainConfig& config)
@@ -46,14 +49,18 @@ void ParGlobalES::run_supersteps(std::uint64_t count, RunObserver* observer,
             sample_global_switch(switch_scratch_, perm_scratch_, edges_.num_edges(), seed_,
                                  next_global_++, pl_, *pool_);
         stats_.attempted += l;
-        if (edges_.num_edges() < small_graph_cutoff_) {
-            // §7 base case: skip the superstep machinery; the outcome is
-            // identical (the superstep reproduces sequential execution).
-            run_global_switch_sequential();
+        if (!runner_) {
+            // §7 base case: the outcome is identical (the superstep
+            // reproduces sequential execution).
+            UniqueWriter writer(set_);
+            for (const Switch& sw : switch_scratch_) {
+                apply_switch_sequential(edges_.keys(), writer, sw, stats_);
+            }
+            writer.commit();
             last_rounds_ = 0;
         } else {
             const SuperstepResult result =
-                runner_.run(*pool_, edges_.keys(), set_, switch_scratch_);
+                runner_->run(*pool_, edges_.keys(), set_, switch_scratch_);
             last_rounds_ = result.rounds;
             stats_.accepted += result.accepted;
             stats_.rejected_loop += result.rejected_loop;
@@ -67,42 +74,6 @@ void ParGlobalES::run_supersteps(std::uint64_t count, RunObserver* observer,
         set_.maybe_rebuild(*pool_);
         if (observer != nullptr) observer->on_superstep(replicate, *this);
     }
-}
-
-void ParGlobalES::run_global_switch_sequential() {
-    auto& keys = edges_.keys();
-    EdgeSetDelta delta;
-    for (const Switch& sw : switch_scratch_) {
-        const edge_key_t k1 = keys[sw.i];
-        const edge_key_t k2 = keys[sw.j];
-        const auto [t3, t4] =
-            switch_targets(edge_from_key(k1), edge_from_key(k2), sw.g != 0);
-        const SwitchOutcome outcome = decide_switch(
-            k1, k2, t3, t4, [this](edge_key_t k) { return set_.contains(k); });
-        switch (outcome) {
-        case SwitchOutcome::kAccepted: {
-            const edge_key_t k3 = edge_key(t3);
-            const edge_key_t k4 = edge_key(t4);
-            if (k3 != k1 && k3 != k2) {
-                set_.erase_unique(k1, delta);
-                set_.erase_unique(k2, delta);
-                set_.insert_unique(k3, delta);
-                set_.insert_unique(k4, delta);
-            }
-            keys[sw.i] = k3;
-            keys[sw.j] = k4;
-            ++stats_.accepted;
-            break;
-        }
-        case SwitchOutcome::kRejectedLoop:
-            ++stats_.rejected_loop;
-            break;
-        case SwitchOutcome::kRejectedEdge:
-            ++stats_.rejected_edge;
-            break;
-        }
-    }
-    set_.commit(delta);
 }
 
 } // namespace gesmc

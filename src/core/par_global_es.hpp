@@ -7,7 +7,9 @@
 /// relative to ParES is the point of the paper.  The permutation and the
 /// binomial length come from the same deterministic samplers as
 /// SeqGlobalES, so both produce identical graphs for identical seeds
-/// (exactness tests).
+/// (exactness tests).  One-thread chains and graphs below
+/// ChainConfig::small_graph_cutoff run the sequential base case instead
+/// (runs_sequential_base_case) and never build the SuperstepRunner.
 #pragma once
 
 #include "core/chain.hpp"
@@ -16,6 +18,7 @@
 #include "parallel/pool_ref.hpp"
 #include "parallel/thread_pool.hpp"
 
+#include <optional>
 #include <vector>
 
 namespace gesmc {
@@ -44,16 +47,12 @@ public:
     [[nodiscard]] std::uint32_t last_rounds() const noexcept { return last_rounds_; }
 
 private:
-    /// §7 base case: applies the sampled global switch sequentially.
-    void run_global_switch_sequential();
-
     EdgeList edges_;
     ConcurrentEdgeSet set_;
     std::uint64_t seed_;
     double pl_;
-    std::uint64_t small_graph_cutoff_;
     PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
-    SuperstepRunner runner_;
+    std::optional<SuperstepRunner> runner_; ///< empty on the §7 base case
     std::vector<Switch> switch_scratch_;
     std::vector<std::uint32_t> perm_scratch_;
     std::uint64_t next_global_ = 0;

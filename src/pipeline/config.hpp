@@ -21,6 +21,7 @@
 /// Every key has a sane default; see the struct fields below.
 #pragma once
 
+#include "core/chain.hpp" // kDefaultSmallGraphCutoff
 #include "hashing/edge_set_backend.hpp"
 
 #include <cstdint>
@@ -130,7 +131,7 @@ struct PipelineConfig {
 
     double pl = 1e-3;                        ///< key: pl
     bool prefetch = true;                    ///< key: prefetch (true|false)
-    std::uint64_t small_graph_cutoff = 0;    ///< key: small-cutoff
+    std::uint64_t small_graph_cutoff = kDefaultSmallGraphCutoff; ///< key: small-cutoff
 
     /// Exists only so perfbench/ builds; nothing reads it (docs/hashing.md).
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;

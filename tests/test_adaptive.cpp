@@ -281,6 +281,7 @@ PipelineConfig adaptive_test_config(const fs::path& out_dir) {
     c.check_every = 2;
     c.replicates = 3;
     c.seed = 616;
+    c.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
     c.output_dir = out_dir.string();
     return c;
 }
@@ -488,6 +489,7 @@ TEST(AdaptiveCorpus, TwoPhaseEarlyStopKeepsRowInvariants) {
     base.metrics = true;
     base.seed = 99;
     base.threads = 2;
+    base.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
     base.output_dir = dir.string();
     base.report_path = (dir / "corpus.json").string();
 

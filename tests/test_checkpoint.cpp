@@ -212,6 +212,7 @@ TEST(CheckpointRoundTrip, SplitRunEqualsUninterruptedRunForEveryAlgorithm) {
             ChainConfig config;
             config.seed = 77;
             config.threads = threads;
+            config.small_graph_cutoff = 0; // the exact chains' superstep at T = 2
 
             auto uninterrupted = make_chain(algo, initial, config);
             uninterrupted->run_supersteps(2 * kHalf);
@@ -407,6 +408,7 @@ PipelineConfig resume_test_config(const fs::path& out_dir, const std::string& al
     c.metrics = false;
     c.output_dir = out_dir.string();
     c.checkpoint_every = 2;
+    c.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
     // These tests resume from *successful* runs, so the finished markers
     // must survive the run (the default deletes them; see CheckpointCleanup).
     c.keep_checkpoints = true;

@@ -237,6 +237,27 @@ TEST(ParallelSuperstep, RunnerReusableAcrossManySupersteps) {
     }
 }
 
+// ------------------------------------------------------ small-graph cutoff
+
+TEST(SmallGraphCutoff, OneThreadOrFewerEdgesTakeTheBaseCase) {
+    // T = 1: the base case at any m, whatever the cutoff.
+    for (const std::uint64_t m : {2ULL, 1000ULL, 1ULL << 40}) {
+        for (const std::uint64_t cutoff :
+             {std::uint64_t{0}, kDefaultSmallGraphCutoff, std::uint64_t{1000}}) {
+            EXPECT_TRUE(runs_sequential_base_case(1, m, cutoff)) << m << " " << cutoff;
+        }
+    }
+    // T >= 2: iff m < cutoff; cutoff 0 never takes it.
+    for (const unsigned threads : {2u, 4u, 64u}) {
+        EXPECT_TRUE(runs_sequential_base_case(threads, 2, 1000));
+        EXPECT_TRUE(runs_sequential_base_case(threads, 999, 1000));
+        EXPECT_FALSE(runs_sequential_base_case(threads, 1000, 1000));
+        EXPECT_FALSE(runs_sequential_base_case(threads, 1ULL << 40, 1000));
+        EXPECT_FALSE(runs_sequential_base_case(threads, 2, 0));
+        EXPECT_FALSE(runs_sequential_base_case(threads, 1ULL << 40, 0));
+    }
+}
+
 // ------------------------------------------------------ chain invariants
 
 void expect_chain_invariants(ChainAlgorithm algo, const EdgeList& initial, unsigned threads,
@@ -244,6 +265,7 @@ void expect_chain_invariants(ChainAlgorithm algo, const EdgeList& initial, unsig
     ChainConfig config;
     config.seed = 42;
     config.threads = threads;
+    config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep at T >= 2
     const auto chain = make_chain(algo, initial, config);
     const auto deg_before = initial.degrees();
     chain->run_supersteps(supersteps);
@@ -281,6 +303,7 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
                             ChainAlgorithm::kNaiveParES, ChainAlgorithm::kAdjListES}) {
         ChainConfig config;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES: Algorithm 2's windows
         const auto chain = make_chain(algo, g, config);
         chain->run_supersteps(4);
         EXPECT_EQ(chain->stats().attempted, 4 * (m / 2)) << chain->name();
@@ -334,6 +357,24 @@ void expect_accept_heavy_exact(const Chain& seq, std::uint64_t supersteps, MakeP
     }
 }
 
+/// small_graph_cutoff values that put every test graph on each side: 0
+/// (superstep at T >= 2) and "always the base case".
+constexpr std::uint64_t kBothSidesOfTheCutoff[] = {0, ~std::uint64_t{0}};
+
+/// The base case (one thread, or m below the cutoff) reports no rounds;
+/// the superstep at least one per superstep (every test global switch and
+/// window has switches).  Spelled out, not via runs_sequential_base_case,
+/// so a predicate that loses a rule fails here too.
+void expect_path(const ChainStats& stats, unsigned threads, std::uint64_t m,
+                 std::uint64_t cutoff, const std::string& where) {
+    if (threads == 1 || m < cutoff) {
+        EXPECT_EQ(stats.rounds_total, 0u) << where;
+        EXPECT_EQ(stats.rounds_max, 0u) << where;
+    } else {
+        EXPECT_GE(stats.rounds_total, stats.supersteps) << where;
+    }
+}
+
 TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
     const auto corpus = corpus_test();
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -343,17 +384,24 @@ TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
             SeqES seq(entry.graph, seq_config);
             seq.run_supersteps(2);
             for (unsigned threads : {1u, 2u, 4u}) {
-                ChainConfig par_config;
-                par_config.seed = seed;
-                par_config.threads = threads;
-                ParES par(entry.graph, par_config);
-                par.run_supersteps(2);
-                ASSERT_TRUE(par.graph().same_graph(seq.graph()))
-                    << entry.name << " seed=" << seed << " threads=" << threads;
-                EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
-                EXPECT_EQ(par.stats().rejected_loop, seq.stats().rejected_loop);
-                EXPECT_EQ(par.stats().rejected_edge, seq.stats().rejected_edge);
-                expect_edge_set_holds_graph(par, entry.name);
+                for (const std::uint64_t cutoff : kBothSidesOfTheCutoff) {
+                    ChainConfig par_config;
+                    par_config.seed = seed;
+                    par_config.threads = threads;
+                    par_config.small_graph_cutoff = cutoff;
+                    ParES par(entry.graph, par_config);
+                    par.run_supersteps(2);
+                    const std::string where = entry.name + " seed=" + std::to_string(seed) +
+                                              " threads=" + std::to_string(threads) +
+                                              " cutoff=" + std::to_string(cutoff);
+                    ASSERT_TRUE(par.graph().same_graph(seq.graph())) << where;
+                    EXPECT_EQ(par.graph().keys(), seq.graph().keys()) << where;
+                    EXPECT_EQ(par.stats().accepted, seq.stats().accepted) << where;
+                    EXPECT_EQ(par.stats().rejected_loop, seq.stats().rejected_loop) << where;
+                    EXPECT_EQ(par.stats().rejected_edge, seq.stats().rejected_edge) << where;
+                    expect_path(par.stats(), threads, entry.graph.num_edges(), cutoff, where);
+                    expect_edge_set_holds_graph(par, where);
+                }
             }
         }
     }
@@ -368,6 +416,7 @@ TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
         ChainConfig par_config;
         par_config.seed = 3;
         par_config.threads = threads;
+        par_config.small_graph_cutoff = 0; // the superstep's rebuilds at T >= 2
         return std::make_unique<ParES>(heavy, par_config);
     });
 }
@@ -381,16 +430,23 @@ TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
             SeqGlobalES seq(entry.graph, seq_config);
             seq.run_supersteps(3);
             for (unsigned threads : {1u, 2u, 4u}) {
-                ChainConfig par_config;
-                par_config.seed = seed;
-                par_config.threads = threads;
-                ParGlobalES par(entry.graph, par_config);
-                par.run_supersteps(3);
-                ASSERT_TRUE(par.graph().same_graph(seq.graph()))
-                    << entry.name << " seed=" << seed << " threads=" << threads;
-                EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
-                EXPECT_EQ(par.stats().attempted, seq.stats().attempted);
-                expect_edge_set_holds_graph(par, entry.name);
+                for (const std::uint64_t cutoff : kBothSidesOfTheCutoff) {
+                    ChainConfig par_config;
+                    par_config.seed = seed;
+                    par_config.threads = threads;
+                    par_config.small_graph_cutoff = cutoff;
+                    ParGlobalES par(entry.graph, par_config);
+                    par.run_supersteps(3);
+                    const std::string where = entry.name + " seed=" + std::to_string(seed) +
+                                              " threads=" + std::to_string(threads) +
+                                              " cutoff=" + std::to_string(cutoff);
+                    ASSERT_TRUE(par.graph().same_graph(seq.graph())) << where;
+                    EXPECT_EQ(par.graph().keys(), seq.graph().keys()) << where;
+                    EXPECT_EQ(par.stats().accepted, seq.stats().accepted) << where;
+                    EXPECT_EQ(par.stats().attempted, seq.stats().attempted) << where;
+                    expect_path(par.stats(), threads, entry.graph.num_edges(), cutoff, where);
+                    expect_edge_set_holds_graph(par, where);
+                }
             }
         }
     }
@@ -405,8 +461,37 @@ TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
         ChainConfig par_config;
         par_config.seed = 4;
         par_config.threads = threads;
+        par_config.small_graph_cutoff = 0; // the superstep's rebuilds at T >= 2
         return std::make_unique<ParGlobalES>(heavy, par_config);
     });
+}
+
+TEST(Exactness, DefaultCutoffRoutesSmallGraphsToTheBaseCaseAtFourThreads) {
+    // With the default config, a graph below kDefaultSmallGraphCutoff runs
+    // the base case even at T = 4, and still equals the sequential chain.
+    const EdgeList g = generate_powerlaw_graph(1500, 2.2, 17);
+    ASSERT_LT(g.num_edges(), kDefaultSmallGraphCutoff);
+    ChainConfig config;
+    config.seed = 23;
+    SeqGlobalES seq_global(g, config);
+    seq_global.run_supersteps(4);
+    SeqES seq(g, config);
+    seq.run_supersteps(4);
+    config.threads = 4;
+    ParGlobalES par_global(g, config);
+    par_global.run_supersteps(4);
+    ParES par(g, config);
+    par.run_supersteps(4);
+
+    EXPECT_EQ(par_global.graph().keys(), seq_global.graph().keys());
+    EXPECT_EQ(par_global.stats().accepted, seq_global.stats().accepted);
+    EXPECT_EQ(par_global.stats().rounds_total, 0u);
+    expect_edge_set_holds_graph(par_global, "ParGlobalES");
+    EXPECT_EQ(par.graph().keys(), seq.graph().keys());
+    EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
+    EXPECT_EQ(par.stats().rounds_total, 0u);
+    EXPECT_EQ(par.mean_superstep_length(), 0.0);
+    expect_edge_set_holds_graph(par, "ParES");
 }
 
 TEST(Exactness, SeqESPipelinedEqualsPlain) {
@@ -548,6 +633,7 @@ TEST(ParES, MeanSuperstepLengthIsOrderSqrtM) {
     const double m = static_cast<double>(g.num_edges());
     ChainConfig config;
     config.threads = 2;
+    config.small_graph_cutoff = 0; // Algorithm 2's windows, not the base case
     ParES par(g, config);
     par.run_supersteps(4);
     const double mean_len = par.mean_superstep_length();
@@ -561,6 +647,7 @@ TEST(ParGlobalES, RoundsStaySmallOnRegularGraph) {
     const EdgeList g = generate_regular(5000, 8);
     ChainConfig config;
     config.threads = 4;
+    config.small_graph_cutoff = 0; // Algorithm 3's rounds, not the base case
     ParGlobalES par(g, config);
     par.run_supersteps(10);
     const double mean_rounds =

@@ -41,6 +41,7 @@ TEST(EdgeCases, MinimumTwoEdgeGraphRuns) {
         ChainConfig config;
         config.seed = 1;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, g, config);
         chain->run_supersteps(5);
         EXPECT_TRUE(chain->graph().is_simple()) << to_string(algo);
@@ -56,6 +57,7 @@ TEST(EdgeCases, PathOfThreeIsFrozen) {
         ChainConfig config;
         config.seed = 2;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, g, config);
         chain->run_supersteps(10);
         EXPECT_TRUE(chain->graph().same_graph(g)) << to_string(algo);
@@ -69,6 +71,7 @@ TEST(EdgeCases, TriangleIsFrozen) {
         ChainConfig config;
         config.seed = 3;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, g, config);
         chain->run_supersteps(10);
         EXPECT_TRUE(chain->graph().same_graph(g)) << to_string(algo);
@@ -82,6 +85,7 @@ TEST(EdgeCases, CompleteGraphIsFrozenAndAllRejections) {
         ChainConfig config;
         config.seed = 4;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, g, config);
         chain->run_supersteps(10);
         EXPECT_TRUE(chain->graph().same_graph(g)) << to_string(algo);
@@ -107,6 +111,7 @@ TEST(EdgeCases, ZeroSuperstepsIsNoop) {
     for (const auto algo : kAllAlgos) {
         ChainConfig config;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, g, config);
         chain->run_supersteps(0);
         EXPECT_TRUE(chain->graph().same_graph(g)) << to_string(algo);
@@ -125,6 +130,7 @@ TEST(EdgeCases, OddEdgeCountGlobalSwitch) {
     seq->run_supersteps(5);
     EXPECT_EQ(seq->graph().degrees(), g.degrees());
     config.threads = 2;
+    config.small_graph_cutoff = 0; // the superstep, not the base case
     auto par = make_chain(ChainAlgorithm::kParGlobalES, g, config);
     par->run_supersteps(5);
     EXPECT_TRUE(par->graph().same_graph(seq->graph()));
@@ -154,9 +160,11 @@ TEST(EdgeCases, ManyThreadsOnTinyGraph) {
     ChainConfig config;
     config.seed = 9;
     config.threads = 8;
+    config.small_graph_cutoff = 0; // the superstep, not the base case
     auto chain = make_chain(ChainAlgorithm::kParGlobalES, g, config);
     chain->run_supersteps(20);
     EXPECT_EQ(chain->graph().degrees(), g.degrees());
+    EXPECT_GT(chain->stats().rounds_total, 0u); // the superstep ran
 }
 
 TEST(EdgeCases, HubGraphHeavyTargetDependencies) {
@@ -179,32 +187,42 @@ TEST(EdgeCases, HubGraphHeavyTargetDependencies) {
     ChainConfig par_config;
     par_config.seed = 10;
     par_config.threads = 3;
+    par_config.small_graph_cutoff = 0; // the dependency table, not the base case
     auto par = make_chain(ChainAlgorithm::kParGlobalES, g, par_config);
     par->run_supersteps(3);
 
     EXPECT_TRUE(par->graph().same_graph(seq->graph()));
+    EXPECT_GT(par->stats().rounds_total, 0u); // the superstep ran
     EXPECT_EQ(par->graph().degrees(), g.degrees());
 }
 
 TEST(EdgeCases, SmallGraphBaseCaseIdenticalOutcome) {
     // The §7 small-graph base case must not change results — only skip the
-    // superstep machinery.
+    // superstep machinery — for both exact parallel chains.
     const EdgeList g = generate_gnp(200, 0.05, 14);
-    ChainConfig plain;
-    plain.seed = 15;
-    plain.threads = 2;
-    auto reference = make_chain(ChainAlgorithm::kParGlobalES, g, plain);
-    reference->run_supersteps(4);
+    for (const auto algo : {ChainAlgorithm::kParGlobalES, ChainAlgorithm::kParES}) {
+        ChainConfig plain;
+        plain.seed = 15;
+        plain.threads = 2;
+        plain.small_graph_cutoff = 0; // the superstep at T = 2
+        auto reference = make_chain(algo, g, plain);
+        reference->run_supersteps(4);
 
-    ChainConfig with_base = plain;
-    with_base.small_graph_cutoff = 1 << 20; // always take the base case
-    auto base = make_chain(ChainAlgorithm::kParGlobalES, g, with_base);
-    base->run_supersteps(4);
+        ChainConfig with_base = plain;
+        with_base.small_graph_cutoff = 1 << 20; // always take the base case
+        auto base = make_chain(algo, g, with_base);
+        base->run_supersteps(4);
 
-    EXPECT_EQ(base->graph().keys(), reference->graph().keys());
-    EXPECT_EQ(base->stats().accepted, reference->stats().accepted);
-    EXPECT_EQ(base->stats().attempted, reference->stats().attempted);
-    EXPECT_EQ(base->stats().rounds_total, 0u); // no superstep rounds ran
+        const std::string name = reference->name();
+        EXPECT_EQ(base->graph().keys(), reference->graph().keys()) << name;
+        EXPECT_EQ(base->stats().accepted, reference->stats().accepted) << name;
+        EXPECT_EQ(base->stats().attempted, reference->stats().attempted) << name;
+        EXPECT_GT(reference->stats().rounds_total, 0u) << name;
+        EXPECT_EQ(base->stats().rounds_total, 0u) << name; // no superstep rounds ran
+        for (const edge_key_t k : base->graph().keys()) {
+            EXPECT_TRUE(base->has_edge(k)) << name;
+        }
+    }
 }
 
 TEST(EdgeCases, SeqESRunSwitchesPartialSuperstep) {

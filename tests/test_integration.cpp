@@ -33,6 +33,7 @@ TEST(Pipeline, GenerateRandomizeAnalyze) {
     ChainConfig config;
     config.seed = 9;
     config.threads = 2;
+    config.small_graph_cutoff = 0; // the superstep, not the base case
     auto chain = make_chain(ChainAlgorithm::kParGlobalES, initial, config);
 
     ThinningAutocorrelation tracker(*chain, {1, 2, 4},
@@ -111,6 +112,7 @@ TEST(Pipeline, CorpusEntriesSurviveEveryChain) {
             ChainConfig config;
             config.seed = 1;
             config.threads = 2;
+            config.small_graph_cutoff = 0; // ParGlobalES: the superstep
             auto chain = make_chain(algo, entry.graph, config);
             chain->run_supersteps(2);
             EXPECT_TRUE(chain->graph().is_simple()) << entry.name;
@@ -135,6 +137,7 @@ TEST(Pipeline, ChainsComposeSequentially) {
     ChainConfig config;
     config.seed = 6;
     config.threads = 2;
+    config.small_graph_cutoff = 0; // the superstep, not the base case
     auto par = make_chain(ChainAlgorithm::kParGlobalES, initial, config);
     par->run_supersteps(5);
     auto seq = make_chain(ChainAlgorithm::kSeqES, par->graph(), config);
@@ -152,6 +155,7 @@ TEST(Pipeline, HasEdgeConsistentAcrossAllChains) {
         ChainConfig config;
         config.seed = 2;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto chain = make_chain(algo, initial, config);
         chain->run_supersteps(1);
         const EdgeList& g = chain->graph();

@@ -564,6 +564,7 @@ TEST(Obs, InstrumentationNeverChangesSampledBytes) {
         c.replicates = 3;
         c.seed = 99;
         c.threads = 2;
+        c.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
         c.checkpoint_every = 2; // exercise the checkpoint + superstep spans
         c.metrics = false;
         c.output_dir = (base_dir / tag).string();

@@ -450,6 +450,7 @@ TEST(SharedPool, ChainsProduceIdenticalGraphsOnBorrowedPools) {
         ChainConfig own;
         own.seed = 5;
         own.threads = 2;
+        own.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep
         auto owned = make_chain(algo, initial, own);
         owned->run_supersteps(3);
 
@@ -487,6 +488,7 @@ PipelineConfig small_run_config(const std::string& algo, const fs::path& out_dir
     c.replicates = 8;
     c.seed = 1234;
     c.metrics = false;
+    c.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
     c.output_dir = out_dir.string();
     return c;
 }
@@ -951,6 +953,7 @@ PipelineConfig standalone_shard(const std::string& input, std::uint64_t master,
     c.replicates = 4;
     c.seed = corpus_graph_seed(master, graph_index);
     c.metrics = false;
+    c.small_graph_cutoff = 0; // as the corpus runs below
     c.output_format = OutputFormat::kBinary;
     c.output_dir = out_dir.string();
     return c;
@@ -988,6 +991,7 @@ TEST(Corpus, RunMatchesStandaloneShardsByteForByte) {
         base.replicates = 4;
         base.seed = kMaster;
         base.metrics = false;
+        base.small_graph_cutoff = 0; // the hybrid variant's T = 2 chains: the superstep
         base.output_format = OutputFormat::kBinary;
         base.output_dir = out.string();
         base.policy = v.policy;
@@ -1094,6 +1098,7 @@ TEST(Corpus, ResumesOnlyUnfinishedCellsByteIdentically) {
         base.seed = 31;
         base.metrics = false;
         base.threads = 2;
+        base.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
         base.output_format = OutputFormat::kBinary;
         base.checkpoint_every = 2;
         base.output_dir = out.string();

@@ -85,6 +85,7 @@ TEST_P(ChainConservation, DegreesSimplicityAndCounters) {
     ChainConfig config;
     config.seed = 77;
     config.threads = p.threads;
+    config.small_graph_cutoff = 0; // ParES/ParGlobalES: the superstep at P >= 2
     const auto chain = make_chain(p.algo, initial, config);
     const auto deg = initial.degrees();
 
@@ -139,6 +140,7 @@ TEST_P(ParVsSeqExactness, GlobalChainsIdenticalForAllThreadCounts) {
         ChainConfig par_config;
         par_config.seed = 3;
         par_config.threads = threads;
+        par_config.small_graph_cutoff = 0; // the superstep at T >= 2
         const auto par = make_chain(ChainAlgorithm::kParGlobalES, initial, par_config);
         par->run_supersteps(2);
         ASSERT_TRUE(par->graph().same_graph(seq_ref.graph())) << "threads=" << threads;
@@ -155,6 +157,7 @@ TEST_P(ParVsSeqExactness, EsChainsIdenticalForAllThreadCounts) {
         ChainConfig par_config;
         par_config.seed = 4;
         par_config.threads = threads;
+        par_config.small_graph_cutoff = 0; // the superstep at T >= 2
         const auto par = make_chain(ChainAlgorithm::kParES, initial, par_config);
         par->run_supersteps(2);
         ASSERT_TRUE(par->graph().same_graph(seq->graph())) << "threads=" << threads;
@@ -168,6 +171,7 @@ TEST_P(ParVsSeqExactness, SeedDeterminism) {
         ChainConfig config;
         config.seed = 5;
         config.threads = 2;
+        config.small_graph_cutoff = 0; // ParGlobalES: the superstep
         const auto a = make_chain(algo, initial, config);
         const auto b = make_chain(algo, initial, config);
         a->run_supersteps(2);

@@ -61,6 +61,7 @@ PipelineConfig job_config(const fs::path& out, std::uint64_t seed) {
     c.replicates = 3;
     c.seed = seed;
     c.metrics = false;
+    c.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
     c.output_dir = out.string();
     c.output_format = OutputFormat::kBinary;
     return c;
@@ -814,6 +815,7 @@ TEST(JobManager, CorpusShardsSubmittedAsJobsMatchALocalCorpusRun) {
         base.seed = 66;
         base.metrics = false;
         base.threads = 2;
+        base.small_graph_cutoff = 0; // the superstep wherever a chain gets T >= 2
         base.output_format = OutputFormat::kBinary;
         base.output_dir = out.string();
         return base;
@@ -892,6 +894,7 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
     config_text << "input-kind = generator\ngenerator = powerlaw\ngen-n = 300\n"
                 << "algorithm = par-global-es\nsupersteps = 4\nreplicates = 3\n"
                 << "seed = 77\nmetrics = false\noutput-format = binary\n"
+                << "small-cutoff = 0\n" // the hybrid job's T = 2 chains: the superstep
                 << "output-dir = " << job_dir.string() << "\n";
 
     // Submit and collect the full frame stream.
