@@ -10,9 +10,15 @@ benchmark present in both files regressed by more than the threshold
 
 Host awareness: absolute medians are only comparable on the same machine
 class.  When the two files carry different host fingerprints (CI containers
-land on heterogeneous hardware), the gate downgrades to informational — it
-prints the comparison but always exits 0.  To refresh a baseline, rerun the
-bench with --bench-json on the reference host and commit the file.
+land on heterogeneous hardware), the timing comparison downgrades to
+informational.  To refresh a baseline, rerun the bench with --bench-json on
+the reference host and commit the file.
+
+Exact counters: a counter in EXACT_COUNTERS (bench_adaptive's executed
+`supersteps`) is a deterministic function of the bench's configuration and
+seed, so it must match the baseline exactly on any host.  Any difference
+fails the gate, whatever the fingerprints say: it means the adaptive stop
+verdict moved.
 
 Schema (written by src/bench_util/harness.cpp, docs/observability.md):
     {"schema": "gesmc-bench-v1", "bench": ..., "host": {"fingerprint": ...},
@@ -22,6 +28,9 @@ Schema (written by src/bench_util/harness.cpp, docs/observability.md):
 import argparse
 import json
 import sys
+
+# Counters that carry no timing noise: compared for equality on any host.
+EXACT_COUNTERS = ("supersteps",)
 
 
 def load(path):
@@ -48,8 +57,8 @@ def main():
     fresh_fp = fresh.get("host", {}).get("fingerprint", "")
     same_host = bool(base_fp) and base_fp == fresh_fp
     if not same_host:
-        print("NOTICE: host fingerprints differ — comparison is informational "
-              "only, exit is forced to 0")
+        print("NOTICE: host fingerprints differ — timing comparison is "
+              "informational only; exact counters still gate")
         print(f"  baseline: {base_fp or '(none)'}")
         print(f"  fresh:    {fresh_fp or '(none)'}")
 
@@ -57,9 +66,18 @@ def main():
     fresh_by_name = {r["name"]: r for r in fresh.get("results", [])}
 
     regressions = []
+    mismatches = []
     missing = sorted(set(base_by_name) - set(fresh_by_name))
     print(f"{'benchmark':44s} {'baseline':>12s} {'fresh':>12s} {'delta':>8s}")
     for name in sorted(set(base_by_name) & set(fresh_by_name)):
+        base_counters = base_by_name[name].get("counters", {})
+        fresh_counters = fresh_by_name[name].get("counters", {})
+        for counter in EXACT_COUNTERS:
+            if counter not in base_counters:
+                continue
+            if fresh_counters.get(counter) != base_counters[counter]:
+                mismatches.append((name, counter, base_counters[counter],
+                                   fresh_counters.get(counter)))
         base_s = base_by_name[name]["median_seconds"]
         fresh_s = fresh_by_name[name]["median_seconds"]
         if base_s <= 0:
@@ -82,6 +100,12 @@ def main():
         print(f"\n{len(regressions)} regression(s) beyond "
               f"{args.threshold:.0%} (worst {worst:+.1%})")
 
+    for name, counter, base_v, fresh_v in mismatches:
+        print(f"{name}: counter {counter} is {fresh_v}, baseline {base_v}  "
+              "MISMATCH (exact on any host)")
+
+    if mismatches:
+        return 1
     if not same_host:
         return 0
     return 1 if (regressions or missing) else 0

@@ -59,23 +59,49 @@ ThinningAutocorrelation::ThinningAutocorrelation(const Chain& chain,
             }
         }
     }
+    // Superstep-0 states seed `first` and every rung's `prev`.
+    probe(chain);
+    first_ = present_;
     // The dominant allocation: a dense |thinning| x |tracked| matrix (see
-    // the header note).  One assign, no incremental growth.
-    counts_.assign(thinning_.size() * tracked_.size(), EdgeCounts{});
-    // Superstep-0 states seed `prev` for every thinning.
+    // the header note).  One allocation, no incremental growth.
+    cells_.resize(thinning_.size() * tracked_.size());
     for (std::size_t ki = 0; ki < thinning_.size(); ++ki) {
-        EdgeCounts* row = counts_.data() + ki * tracked_.size();
-        for (std::size_t e = 0; e < tracked_.size(); ++e) {
-            row[e].prev = chain.has_edge(tracked_[e]) ? 1 : 0;
-        }
+        Cell* row = cells_.data() + ki * tracked_.size();
+        for (std::size_t e = 0; e < tracked_.size(); ++e) row[e].n10_prev = first_[e];
     }
     publish_bytes_gauge(memory_bytes());
 }
 
+std::size_t ThinningAutocorrelation::probe(const Chain& chain) {
+    present_.resize(tracked_.size());
+    std::size_t present = 0;
+    for (std::size_t e = 0; e < tracked_.size(); ++e) {
+        present_[e] = chain.has_edge(tracked_[e]) ? 1 : 0;
+        present += present_[e];
+    }
+    return present;
+}
+
+std::size_t ThinningAutocorrelation::initial_overlap() const noexcept {
+    return static_cast<std::size_t>(std::count(first_.begin(), first_.end(), 1));
+}
+
 std::size_t ThinningAutocorrelation::memory_bytes() const noexcept {
-    return counts_.capacity() * sizeof(EdgeCounts) +
+    return cells_.capacity() * sizeof(Cell) + first_.capacity() + present_.capacity() +
            tracked_.capacity() * sizeof(edge_key_t) +
            thinning_.capacity() * sizeof(std::uint32_t);
+}
+
+void ThinningAutocorrelation::cell_counts(const Cell& c, std::size_t e,
+                                          std::uint64_t transitions,
+                                          std::uint32_t counts[2][2]) const {
+    const std::uint32_t prev = c.n10_prev & 1u;
+    const std::uint32_t n10 = c.n10_prev >> 1;
+    const std::uint32_t n01 = n10 + prev - first_[e];
+    counts[0][0] = static_cast<std::uint32_t>(transitions - c.n11 - n10 - n01);
+    counts[0][1] = n01;
+    counts[1][0] = n10;
+    counts[1][1] = c.n11;
 }
 
 void ThinningAutocorrelation::save(std::ostream& os) const {
@@ -87,18 +113,27 @@ void ThinningAutocorrelation::save(std::ostream& os) const {
     binio::write_varint(os, tracked_.size());
     for (const edge_key_t key : tracked_) binio::write_varint(os, key);
     binio::write_varint(os, step_);
-    for (const EdgeCounts& c : counts_) {
-        binio::write_varint(os, c.n[0][0]);
-        binio::write_varint(os, c.n[0][1]);
-        binio::write_varint(os, c.n[1][0]);
-        binio::write_varint(os, c.n[1][1]);
-        os.put(static_cast<char>(c.prev));
+    // The version-1 layout: all four counts and prev per cell, rung-major.
+    for (std::size_t ki = 0; ki < thinning_.size(); ++ki) {
+        const Cell* row = cells_.data() + ki * tracked_.size();
+        const std::uint64_t transitions = step_ / thinning_[ki];
+        for (std::size_t e = 0; e < tracked_.size(); ++e) {
+            std::uint32_t n[2][2];
+            cell_counts(row[e], e, transitions, n);
+            binio::write_varint(os, n[0][0]);
+            binio::write_varint(os, n[0][1]);
+            binio::write_varint(os, n[1][0]);
+            binio::write_varint(os, n[1][1]);
+            os.put(static_cast<char>(row[e].n10_prev & 1u));
+        }
     }
     GESMC_CHECK(os.good(), "autocorrelation state write failed");
 }
 
 ThinningAutocorrelation ThinningAutocorrelation::restore(std::istream& is) {
     static constexpr const char* kWhat = "autocorrelation state";
+    static constexpr const char* kBrokenIdentity =
+        "autocorrelation state: counts break the transition identity";
     char preamble[6] = {};
     is.read(preamble, sizeof(preamble));
     GESMC_CHECK(is.gcount() == sizeof(preamble) &&
@@ -125,37 +160,62 @@ ThinningAutocorrelation ThinningAutocorrelation::restore(std::istream& is) {
         out.tracked_.push_back(binio::read_varint(is, kWhat));
     }
     out.step_ = binio::read_varint(is, kWhat);
-    out.counts_.reserve(static_cast<std::size_t>(
+    out.first_.resize(out.tracked_.size());
+    out.present_.resize(out.tracked_.size());
+    out.cells_.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(nk * ne, 1u << 22)));
-    for (std::uint64_t i = 0; i < nk * ne; ++i) {
-        EdgeCounts c;
-        for (int a = 0; a < 2; ++a) {
-            for (int b = 0; b < 2; ++b) {
-                const std::uint64_t v = binio::read_varint(is, kWhat);
-                GESMC_CHECK(v <= UINT32_MAX, "autocorrelation state: count overflow");
-                c.n[a][b] = static_cast<std::uint32_t>(v);
+    for (std::uint64_t ki = 0; ki < nk; ++ki) {
+        const std::uint64_t transitions = out.step_ / out.thinning_[ki];
+        for (std::uint64_t e = 0; e < ne; ++e) {
+            std::uint64_t n[2][2];
+            for (int a = 0; a < 2; ++a) {
+                for (int b = 0; b < 2; ++b) {
+                    n[a][b] = binio::read_varint(is, kWhat);
+                    GESMC_CHECK(n[a][b] <= UINT32_MAX,
+                                "autocorrelation state: count overflow");
+                }
             }
+            const int prev = is.get();
+            GESMC_CHECK(prev == 0 || prev == 1, "autocorrelation state: bad prev bit");
+            // The identities of Cell: the first rung fixes the edge's
+            // superstep-0 state, every rung must agree with it, and each
+            // rung holds exactly floor(step / k) transitions.
+            if (ki == 0) {
+                const std::int64_t first = prev + static_cast<std::int64_t>(n[1][0]) -
+                                           static_cast<std::int64_t>(n[0][1]);
+                GESMC_CHECK(first == 0 || first == 1, kBrokenIdentity);
+                out.first_[e] = static_cast<std::uint8_t>(first);
+            }
+            GESMC_CHECK(n[0][1] + out.first_[e] ==
+                                n[1][0] + static_cast<std::uint64_t>(prev) &&
+                            n[0][0] + n[0][1] + n[1][0] + n[1][1] == transitions &&
+                            n[1][0] < (1u << 31),
+                        kBrokenIdentity);
+            Cell c;
+            c.n11 = static_cast<std::uint32_t>(n[1][1]);
+            c.n10_prev = static_cast<std::uint32_t>(n[1][0] << 1) |
+                         static_cast<std::uint32_t>(prev);
+            out.cells_.push_back(c);
         }
-        const int prev = is.get();
-        GESMC_CHECK(prev == 0 || prev == 1, "autocorrelation state: bad prev bit");
-        c.prev = static_cast<std::uint8_t>(prev);
-        out.counts_.push_back(c);
     }
     publish_bytes_gauge(out.memory_bytes());
     return out;
 }
 
-void ThinningAutocorrelation::observe(const Chain& chain) {
+std::size_t ThinningAutocorrelation::observe(const Chain& chain) {
     ++step_;
+    const std::size_t present = probe(chain);
     for (std::size_t ki = 0; ki < thinning_.size(); ++ki) {
         if (step_ % thinning_[ki] != 0) continue;
-        EdgeCounts* row = counts_.data() + ki * tracked_.size();
+        Cell* row = cells_.data() + ki * tracked_.size();
         for (std::size_t e = 0; e < tracked_.size(); ++e) {
-            const std::uint8_t cur = chain.has_edge(tracked_[e]) ? 1 : 0;
-            ++row[e].n[row[e].prev][cur];
-            row[e].prev = cur;
+            const std::uint32_t cur = present_[e];
+            const std::uint32_t prev = row[e].n10_prev & 1u;
+            row[e].n11 += prev & cur;
+            row[e].n10_prev = ((row[e].n10_prev & ~1u) + ((prev & ~cur) << 1)) | cur;
         }
     }
+    return present;
 }
 
 double g2_statistic(const std::uint32_t counts[2][2]) {
@@ -184,10 +244,31 @@ bool bic_prefers_independent(const std::uint32_t counts[2][2]) {
 double ThinningAutocorrelation::non_independent_fraction(std::size_t ki) const {
     GESMC_CHECK(ki < thinning_.size(), "thinning index out of range");
     if (tracked_.empty()) return 0.0;
-    const EdgeCounts* row = counts_.data() + ki * tracked_.size();
+    const Cell* row = cells_.data() + ki * tracked_.size();
+    const std::uint64_t transitions = step_ / thinning_[ki];
+    // Every cell of the rung holds the same number of transitions, so its
+    // verdict is a function of (n11, n10, prev, first) alone: memoise it
+    // in a dense table over counts below `side` (all of them at the
+    // shallow transition counts the stopping rule reads), evaluating any
+    // other tuple directly.
+    const std::uint64_t side = std::min<std::uint64_t>(transitions + 1, 128);
+    std::vector<std::uint8_t> memo(side * side * 4, 0); // 0 = not yet, 1 = indep., 2 = not
     std::size_t dependent = 0;
     for (std::size_t e = 0; e < tracked_.size(); ++e) {
-        if (!bic_prefers_independent(row[e].n)) ++dependent;
+        const std::uint64_t n11 = row[e].n11;
+        const std::uint64_t n10 = row[e].n10_prev >> 1;
+        const bool memoised = n11 < side && n10 < side;
+        const std::size_t slot = memoised ? (((n11 * side + n10) << 2) |
+                                             ((row[e].n10_prev & 1u) << 1) | first_[e])
+                                          : 0;
+        std::uint8_t verdict = memoised ? memo[slot] : 0;
+        if (verdict == 0) {
+            std::uint32_t n[2][2];
+            cell_counts(row[e], e, transitions, n);
+            verdict = bic_prefers_independent(n) ? 1 : 2;
+            if (memoised) memo[slot] = verdict;
+        }
+        if (verdict == 2) ++dependent;
     }
     return static_cast<double>(dependent) / static_cast<double>(tracked_.size());
 }

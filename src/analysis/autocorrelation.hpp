@@ -45,9 +45,14 @@ public:
     ThinningAutocorrelation(const Chain& chain, std::vector<std::uint32_t> thinning,
                             Track track);
 
-    /// Records the state after one more superstep. Call exactly once per
-    /// superstep, in order.
-    void observe(const Chain& chain);
+    /// Records the state after one more superstep: one has_edge probe per
+    /// tracked edge, shared by every rung due at this step.  Returns how
+    /// many tracked edges are present (the overlap X_t when tracking the
+    /// initial edges).  Call exactly once per superstep, in order.
+    std::size_t observe(const Chain& chain);
+
+    /// Tracked edges present at superstep 0 (X_0 of the overlap series).
+    [[nodiscard]] std::size_t initial_overlap() const noexcept;
 
     /// Number of supersteps observed so far.
     [[nodiscard]] std::uint64_t supersteps() const noexcept { return step_; }
@@ -61,17 +66,20 @@ public:
         return tracked_;
     }
 
-    /// Bytes held by the dense counts matrix plus the tracked-key vector —
-    /// the price of streaming the test.  In kInitialEdges mode this is
-    /// Theta(|thinning| * m); published as the analysis.autocorr.bytes
-    /// gauge when metrics are enabled so adaptive mode's overhead shows up
-    /// in telemetry.
+    /// Bytes held by the counts matrix, the per-edge state arrays and the
+    /// tracked-key vector — the price of streaming the test: 8 bytes per
+    /// (rung, edge) cell plus 10 per edge, so 98 bytes per edge on an
+    /// 11-rung ladder.  Published as the analysis.autocorr.bytes gauge
+    /// when metrics are enabled so adaptive mode's overhead shows up in
+    /// telemetry.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
     /// Serializes the complete observer state (thinning ladder, tracked
-    /// keys, step count, per-edge transition counts).  restore() rebuilds
-    /// an observer that continues the identical stream — used by the
-    /// adaptive estimator's checkpoint sidecar (analysis/ess.*).
+    /// keys, step count, per-edge transition counts — all four, plus the
+    /// last retained state).  restore() rebuilds an observer that
+    /// continues the identical stream — used by the adaptive estimator's
+    /// checkpoint sidecar (analysis/ess.*) — and throws Error on counts
+    /// that no observed stream can produce (see Cell).
     void save(std::ostream& os) const;
     static ThinningAutocorrelation restore(std::istream& is);
 
@@ -83,22 +91,39 @@ public:
     [[nodiscard]] std::vector<double> non_independent_fractions() const;
 
 private:
-    struct EdgeCounts {
-        std::uint32_t n[2][2] = {{0, 0}, {0, 0}}; ///< transition counts
-        std::uint8_t prev = 0;                    ///< last retained state
+    /// One (rung, edge) cell.  Every cell of rung k holds exactly
+    /// floor(s / k) transitions at step s, and an edge's up and down moves
+    /// differ by (last state - superstep-0 state), so two counts, the last
+    /// retained state and the edge's superstep-0 state `first` determine
+    /// all four:
+    ///   n01 = n10 + prev - first,   n00 = floor(s / k) - n11 - n10 - n01.
+    struct Cell {
+        std::uint32_t n11 = 0;
+        std::uint32_t n10_prev = 0; ///< (n10 << 1) | prev
     };
 
     ThinningAutocorrelation() = default; ///< for restore() only
 
+    /// Fills present_ with one has_edge probe per tracked edge; returns
+    /// the number present.
+    std::size_t probe(const Chain& chain);
+
+    /// The full 2x2 transition counts of cell `c` of edge `e` after
+    /// `transitions` retained steps.
+    void cell_counts(const Cell& c, std::size_t e, std::uint64_t transitions,
+                     std::uint32_t counts[2][2]) const;
+
     std::vector<std::uint32_t> thinning_;
     std::vector<edge_key_t> tracked_;
-    /// counts_[ki * tracked_.size() + e].  Dense on purpose: every tracked
+    /// cells_[ki * tracked_.size() + e].  Dense on purpose: every tracked
     /// edge is touched at every retained step, so a |thinning| x |tracked|
-    /// matrix of 17-byte cells (padded to 20) is the compact layout — but
-    /// on large graphs it is the dominant cost of running the test (about
-    /// 20 * |thinning| bytes per edge; ~1.6 MiB for m = 10^4 with the
-    /// default 8-value ladder).  memory_bytes() exposes the realized size.
-    std::vector<EdgeCounts> counts_;
+    /// matrix of 8-byte cells is the compact layout — and on large graphs
+    /// still the dominant cost of running the test (8.8 MB for
+    /// m = 10^5 on the 11-rung ladder of a 200-superstep budget).
+    /// memory_bytes() exposes the realized size.
+    std::vector<Cell> cells_;
+    std::vector<std::uint8_t> first_;   ///< per edge: state at superstep 0
+    std::vector<std::uint8_t> present_; ///< per edge: state at the last probe
     std::uint64_t step_ = 0;
 };
 

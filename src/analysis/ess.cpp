@@ -135,11 +135,7 @@ EssEstimator::EssEstimator(const Chain& chain, const AdaptiveStopConfig& config,
       autocorr_(chain, default_thinning_values(max_thinning),
                 ThinningAutocorrelation::Track::kInitialEdges) {
     // X_0 = |E(G_0)| anchors the overlap series at the initial graph.
-    double overlap = 0;
-    for (const edge_key_t key : autocorr_.tracked()) {
-        if (chain.has_edge(key)) overlap += 1.0;
-    }
-    overlap_.add(overlap);
+    overlap_.add(static_cast<double>(autocorr_.initial_overlap()));
 }
 
 EssEstimator::EssEstimator(const AdaptiveStopConfig& config,
@@ -147,12 +143,8 @@ EssEstimator::EssEstimator(const AdaptiveStopConfig& config,
     : config_(config), autocorr_(std::move(autocorr)) {}
 
 void EssEstimator::observe(const Chain& chain) {
-    autocorr_.observe(chain);
-    double overlap = 0;
-    for (const edge_key_t key : autocorr_.tracked()) {
-        if (chain.has_edge(key)) overlap += 1.0;
-    }
-    overlap_.add(overlap);
+    // The tracker's one membership pass also yields X_t.
+    overlap_.add(static_cast<double>(autocorr_.observe(chain)));
     const std::uint64_t s = autocorr_.supersteps();
     if (stopped()) return;
     if (s >= config_.min_supersteps && config_.check_every > 0 &&
@@ -243,7 +235,11 @@ EssEstimator EssEstimator::restore(std::istream& is,
     std::optional<std::uint64_t> stop;
     if (has_stop == 1) stop = binio::read_varint(is, kWhat);
     ScalarAutocorrelation overlap = ScalarAutocorrelation::restore(is);
-    EssEstimator out(config, ThinningAutocorrelation::restore(is));
+    ThinningAutocorrelation autocorr = ThinningAutocorrelation::restore(is);
+    GESMC_CHECK(autocorr.thinning() ==
+                    default_thinning_values(adaptive_max_thinning(config.max_supersteps)),
+                "estimator state was recorded on a different thinning ladder");
+    EssEstimator out(config, std::move(autocorr));
     out.streak_ = static_cast<std::uint32_t>(streak);
     out.stop_superstep_ = stop;
     out.overlap_ = overlap;

@@ -134,9 +134,11 @@ public:
 
     /// Serializes the complete estimator (config echo, counters, both
     /// accumulators) under the "GESA"/'E' preamble.  restore() validates
-    /// the config echo against `config` and throws Error on mismatch — a
-    /// sidecar recorded under different knobs must not silently steer a
-    /// resumed run.
+    /// the config echo against `config`, and the thinning ladder against
+    /// the one adaptive_max_thinning(config.max_supersteps) yields, and
+    /// throws Error on a mismatch — a sidecar recorded under different
+    /// knobs or on another ladder continues a different verdict stream and
+    /// must not silently steer a resumed run.
     void save(std::ostream& os) const;
     static EssEstimator restore(std::istream& is, const AdaptiveStopConfig& config);
 

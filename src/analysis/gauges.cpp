@@ -1,9 +1,9 @@
 #include "analysis/gauges.hpp"
 
 #include "analysis/autocorrelation.hpp"
+#include "analysis/ess.hpp"
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace gesmc {
@@ -71,8 +71,7 @@ MixingGaugeObserver::MixingGaugeObserver(std::uint64_t replicates,
                                          std::uint64_t supersteps,
                                          RunObserver* inner)
     : slots_(replicates),
-      max_thinning_(static_cast<std::uint32_t>(
-          std::clamp<std::uint64_t>(supersteps / 4, 1, 64))),
+      max_thinning_(adaptive_max_thinning(supersteps)),
       inner_(inner) {}
 
 MixingGaugeObserver::~MixingGaugeObserver() = default;

@@ -76,9 +76,8 @@ void publish_corpus_z_gauges(const RunReport& report);
 /// config.metrics, the same opt-in that buys the O(m^1.5) proxy pass.
 class MixingGaugeObserver final : public RunObserver {
 public:
-    /// `supersteps` bounds the thinning ladder (max k = supersteps / 4,
-    /// clamped to [1, 64]) so short runs still observe transitions at the
-    /// largest thinning value.
+    /// `supersteps` bounds the thinning ladder (adaptive_max_thinning) so
+    /// short runs still observe transitions at the largest thinning value.
     MixingGaugeObserver(std::uint64_t replicates, std::uint64_t supersteps,
                         RunObserver* inner);
     ~MixingGaugeObserver() override;

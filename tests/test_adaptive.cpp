@@ -3,7 +3,12 @@
 // stopping rule, bit-exact estimator serialization, and the pipeline-level
 // determinism contracts — adaptive-with-unreachable-target equals the fixed
 // budget byte for byte, adaptive runs reproduce across schedule policies,
-// and kill/resume lands on the identical trajectory.
+// and kill/resume lands on the identical trajectory.  The thinning tracker
+// is checked against a dense four-counter reference model, which pins the
+// .gesa sidecar layout, and against a probe budget of one has_edge per
+// tracked edge and superstep.
+#include "fake_chains.hpp"
+
 #include "analysis/autocorrelation.hpp"
 #include "analysis/ess.hpp"
 #include "core/chain.hpp"
@@ -12,14 +17,17 @@
 #include "pipeline/corpus.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
+#include "util/binio.hpp"
 #include "util/check.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -224,13 +232,30 @@ TEST(EssEstimator, RestoreRejectsAMismatchedConfig) {
     ChainConfig cc;
     cc.seed = 1;
     auto chain = make_chain(ChainAlgorithm::kSeqES, g, cc);
-    EssEstimator est(*chain, config, 8);
+    EssEstimator est(*chain, config, adaptive_max_thinning(config.max_supersteps));
     std::stringstream ss;
     est.save(ss);
 
     AdaptiveStopConfig other = config;
     other.ess_target = 99.0;
     EXPECT_THROW(EssEstimator::restore(ss, other), Error);
+}
+
+TEST(EssEstimator, RestoreRejectsAForeignThinningLadder) {
+    // Same knobs, but the ladder does not come from the budget: resuming on
+    // it would continue a different verdict stream.
+    const EdgeList g = test_graph(100, 400, 5);
+    const AdaptiveStopConfig config = quick_stop_config();
+    ASSERT_NE(adaptive_max_thinning(config.max_supersteps), 8u);
+    ChainConfig cc;
+    cc.seed = 1;
+    auto chain = make_chain(ChainAlgorithm::kSeqES, g, cc);
+    EssEstimator est(*chain, config, 8);
+    chain->run_supersteps(1);
+    est.observe(*chain);
+    std::stringstream ss;
+    est.save(ss);
+    EXPECT_THROW(EssEstimator::restore(ss, config), Error);
 }
 
 TEST(EssEstimator, AdaptiveMaxThinningTracksTheBudget) {
@@ -261,6 +286,248 @@ TEST(ThinningAutocorrelation, SaveRestoreRoundTrips) {
     for (std::size_t ki = 0; ki < 3; ++ki) {
         EXPECT_EQ(back.non_independent_fraction(ki), acf.non_independent_fraction(ki))
             << "ladder rung " << ki;
+    }
+}
+
+// ------------------------------------------- tracker reference model
+
+/// The dense four-counter tracker the 8-byte cells replaced: every rung
+/// keeps n00, n01, n10, n11 and prev per edge and probes the chain itself.
+/// Its save() is the .gesa "GESA"/'T' version-1 layout.
+class DenseTracker {
+public:
+    DenseTracker(const Chain& chain, std::vector<std::uint32_t> thinning,
+                 ThinningAutocorrelation::Track track)
+        : thinning_(std::move(thinning)) {
+        const EdgeList& g = chain.graph();
+        if (track == ThinningAutocorrelation::Track::kInitialEdges) {
+            tracked_ = g.keys();
+        } else {
+            for (node_t u = 0; u < g.num_nodes(); ++u) {
+                for (node_t v = u + 1; v < g.num_nodes(); ++v) {
+                    tracked_.push_back(edge_key(u, v));
+                }
+            }
+        }
+        counts_.assign(thinning_.size() * tracked_.size(), Counts{});
+        for (std::size_t ki = 0; ki < thinning_.size(); ++ki) {
+            for (std::size_t e = 0; e < tracked_.size(); ++e) {
+                counts_[ki * tracked_.size() + e].prev =
+                    chain.has_edge(tracked_[e]) ? 1 : 0;
+            }
+        }
+    }
+
+    void observe(const Chain& chain) {
+        ++step_;
+        for (std::size_t ki = 0; ki < thinning_.size(); ++ki) {
+            if (step_ % thinning_[ki] != 0) continue;
+            for (std::size_t e = 0; e < tracked_.size(); ++e) {
+                Counts& c = counts_[ki * tracked_.size() + e];
+                const std::uint8_t cur = chain.has_edge(tracked_[e]) ? 1 : 0;
+                ++c.n[c.prev][cur];
+                c.prev = cur;
+            }
+        }
+    }
+
+    [[nodiscard]] std::string save() const {
+        std::ostringstream os;
+        os.write("GESAT", 5);
+        os.put(1);
+        binio::write_varint(os, thinning_.size());
+        for (const std::uint32_t k : thinning_) binio::write_varint(os, k);
+        binio::write_varint(os, tracked_.size());
+        for (const edge_key_t key : tracked_) binio::write_varint(os, key);
+        binio::write_varint(os, step_);
+        for (const Counts& c : counts_) {
+            binio::write_varint(os, c.n[0][0]);
+            binio::write_varint(os, c.n[0][1]);
+            binio::write_varint(os, c.n[1][0]);
+            binio::write_varint(os, c.n[1][1]);
+            os.put(static_cast<char>(c.prev));
+        }
+        return os.str();
+    }
+
+    [[nodiscard]] double non_independent_fraction(std::size_t ki) const {
+        if (tracked_.empty()) return 0.0;
+        std::size_t dependent = 0;
+        for (std::size_t e = 0; e < tracked_.size(); ++e) {
+            if (!bic_prefers_independent(counts_[ki * tracked_.size() + e].n)) {
+                ++dependent;
+            }
+        }
+        return static_cast<double>(dependent) / static_cast<double>(tracked_.size());
+    }
+
+private:
+    struct Counts {
+        std::uint32_t n[2][2] = {{0, 0}, {0, 0}};
+        std::uint8_t prev = 0;
+    };
+    std::vector<std::uint32_t> thinning_;
+    std::vector<edge_key_t> tracked_;
+    std::vector<Counts> counts_;
+    std::uint64_t step_ = 0;
+};
+
+std::string saved(const ThinningAutocorrelation& tracker) {
+    std::ostringstream os;
+    tracker.save(os);
+    return os.str();
+}
+
+/// Runs the tracker and the reference model side by side on `chain` for
+/// `steps` supersteps; at every step their sidecars must be byte-equal and
+/// every rung's verdict fraction equal, and a restored copy must agree.
+void expect_tracker_matches_reference(Chain& chain, ThinningAutocorrelation::Track track,
+                                      std::uint64_t steps) {
+    const std::vector<std::uint32_t> ladder = default_thinning_values(12);
+    ThinningAutocorrelation tracker(chain, ladder, track);
+    DenseTracker reference(chain, ladder, track);
+    for (std::uint64_t s = 0; s <= steps; ++s) {
+        if (s > 0) {
+            chain.run_supersteps(1);
+            tracker.observe(chain);
+            reference.observe(chain);
+        }
+        const std::string bytes = saved(tracker);
+        ASSERT_EQ(bytes, reference.save()) << chain.name() << " step " << s;
+        std::istringstream is(bytes);
+        const ThinningAutocorrelation back = ThinningAutocorrelation::restore(is);
+        EXPECT_EQ(saved(back), bytes) << chain.name() << " step " << s;
+        for (std::size_t ki = 0; ki < ladder.size(); ++ki) {
+            const double expect = reference.non_independent_fraction(ki);
+            ASSERT_EQ(tracker.non_independent_fraction(ki), expect)
+                << chain.name() << " step " << s << " rung " << ladder[ki];
+            EXPECT_EQ(back.non_independent_fraction(ki), expect);
+        }
+    }
+}
+
+class TrackerReference
+    : public testing::TestWithParam<ThinningAutocorrelation::Track> {};
+
+TEST_P(TrackerReference, SeqEsChain) {
+    ChainConfig cc;
+    cc.seed = 11;
+    auto chain = make_chain(ChainAlgorithm::kSeqES, test_graph(40, 120, 3), cc);
+    expect_tracker_matches_reference(*chain, GetParam(), 40);
+}
+
+TEST_P(TrackerReference, ParGlobalEsChain) {
+    ChainConfig cc;
+    cc.seed = 12;
+    cc.threads = 2;
+    cc.small_graph_cutoff = 0; // the superstep, not the base case
+    auto chain = make_chain(ChainAlgorithm::kParGlobalES, test_graph(40, 120, 4), cc);
+    expect_tracker_matches_reference(*chain, GetParam(), 40);
+}
+
+// The fakes run long enough for counts of 128 and more, past the dense
+// verdict memo, so the directly evaluated tuples are compared too.
+TEST_P(TrackerReference, ScriptedChain) {
+    testing_fakes::ScriptedChain chain(3);
+    expect_tracker_matches_reference(chain, GetParam(), 300);
+}
+
+TEST_P(TrackerReference, IidChainStartingWithATrackedEdgeAbsent) {
+    testing_fakes::IidChain chain;
+    expect_tracker_matches_reference(chain, GetParam(), 600);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, TrackerReference,
+    testing::Values(ThinningAutocorrelation::Track::kInitialEdges,
+                    ThinningAutocorrelation::Track::kAllPairs),
+    [](const testing::TestParamInfo<ThinningAutocorrelation::Track>& info) {
+        return info.param == ThinningAutocorrelation::Track::kInitialEdges
+                   ? std::string("InitialEdges")
+                   : std::string("AllPairs");
+    });
+
+/// A version-1 tracker state with one tracked edge: `cells` lists
+/// {n00, n01, n10, n11, prev} per rung.
+std::string tracker_state(const std::vector<std::uint32_t>& ladder, std::uint64_t step,
+                          const std::vector<std::array<std::uint64_t, 5>>& cells) {
+    std::ostringstream os;
+    os.write("GESAT", 5);
+    os.put(1);
+    binio::write_varint(os, ladder.size());
+    for (const std::uint32_t k : ladder) binio::write_varint(os, k);
+    binio::write_varint(os, 1);
+    binio::write_varint(os, edge_key(0, 1));
+    binio::write_varint(os, step);
+    for (const auto& c : cells) {
+        for (int i = 0; i < 4; ++i) binio::write_varint(os, c[i]);
+        os.put(static_cast<char>(c[4]));
+    }
+    return os.str();
+}
+
+TEST(ThinningAutocorrelation, RestoreRejectsCountsThatBreakTheTransitionIdentity) {
+    const auto restore = [](const std::string& bytes) {
+        std::istringstream is(bytes);
+        return ThinningAutocorrelation::restore(is);
+    };
+    // 0 -> 1 -> 1 -> 1 at thinning 1; 0 -> 1 at thinning 2 (step 3).
+    EXPECT_NO_THROW(restore(tracker_state({1, 2}, 3, {{0, 1, 0, 2, 1}, {0, 1, 0, 0, 1}})));
+    // More transitions than floor(step / k).
+    EXPECT_THROW(restore(tracker_state({1, 2}, 3, {{1, 1, 0, 2, 1}, {0, 1, 0, 0, 1}})),
+                 Error);
+    // Two more up moves than down moves: no superstep-0 state fits.
+    EXPECT_THROW(restore(tracker_state({1}, 3, {{0, 2, 0, 1, 1}})), Error);
+    // The rungs disagree on the superstep-0 state (0 at k = 1, 1 at k = 2).
+    EXPECT_THROW(restore(tracker_state({1, 2}, 3, {{0, 1, 0, 2, 1}, {0, 0, 0, 1, 1}})),
+                 Error);
+}
+
+// ---------------------------------------------------------- probe budget
+
+/// Forwards to a real chain and counts has_edge calls.
+class ProbeCountingChain final : public Chain {
+public:
+    explicit ProbeCountingChain(std::unique_ptr<Chain> inner) : inner_(std::move(inner)) {}
+    using Chain::run_supersteps;
+    void run_supersteps(std::uint64_t count, RunObserver* observer,
+                        std::uint64_t replicate) override {
+        inner_->run_supersteps(count, observer, replicate);
+    }
+    [[nodiscard]] ChainState snapshot() const override { return inner_->snapshot(); }
+    [[nodiscard]] const EdgeList& graph() const override { return inner_->graph(); }
+    [[nodiscard]] bool has_edge(edge_key_t key) const override {
+        ++probes_;
+        return inner_->has_edge(key);
+    }
+    [[nodiscard]] const ChainStats& stats() const override { return inner_->stats(); }
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
+
+private:
+    std::unique_ptr<Chain> inner_;
+    mutable std::uint64_t probes_ = 0;
+};
+
+TEST(EssEstimator, ReadsEachObservedGraphOnce) {
+    // Every rung of the ladder and the overlap series share one membership
+    // pass: |tracked| probes to build the estimator and per superstep,
+    // whichever rungs are due.
+    const EdgeList g = test_graph(200, 800, 5);
+    ChainConfig cc;
+    cc.seed = 9;
+    ProbeCountingChain chain(make_chain(ChainAlgorithm::kSeqES, g, cc));
+    const AdaptiveStopConfig config = quick_stop_config();
+    const std::uint32_t max_thinning = adaptive_max_thinning(config.max_supersteps);
+    ASSERT_GT(default_thinning_values(max_thinning).size(), 8u);
+    EssEstimator est(chain, config, max_thinning);
+    const std::uint64_t tracked = g.num_edges();
+    EXPECT_EQ(chain.probes(), tracked);
+    for (std::uint64_t s = 1; s <= 48; ++s) {
+        chain.run_supersteps(1);
+        const std::uint64_t before = chain.probes();
+        est.observe(chain);
+        ASSERT_EQ(chain.probes() - before, tracked) << "superstep " << s;
     }
 }
 
@@ -424,6 +691,58 @@ TEST(AdaptiveResume, MissingSidecarRerunsTheReplicateFreshByteIdentically) {
     ASSERT_TRUE(all_succeeded(again));
     for (std::uint64_t r = 0; r < ref.replicates.size(); ++r) {
         EXPECT_EQ(again.replicates[r].resumed_supersteps, 0u);
+        EXPECT_EQ(slurp(ref.replicates[r].output_path),
+                  slurp(again.replicates[r].output_path))
+            << "replicate " << r;
+    }
+}
+
+TEST(AdaptiveResume, ForeignLadderSidecarRerunsTheReplicateFreshByteIdentically) {
+    const fs::path dir = scratch_dir("adaptive_foreign_ladder");
+    PipelineConfig c = adaptive_test_config(dir);
+    c.checkpoint_every = 4;
+    c.keep_checkpoints = true;
+    const RunReport ref = run_pipeline(c);
+    ASSERT_TRUE(all_succeeded(ref));
+
+    // Replace every sidecar with one that matches the config echo and the
+    // chain's superstep count but was streamed on another thinning ladder.
+    AdaptiveStopConfig stop;
+    stop.ess_target = c.ess_target;
+    stop.mixing_tau = c.mixing_tau;
+    stop.min_supersteps = c.min_supersteps;
+    stop.max_supersteps = c.max_supersteps;
+    stop.check_every = c.check_every;
+    int replaced = 0;
+    for (const auto& entry : fs::directory_iterator(dir / "checkpoints")) {
+        if (entry.path().extension() != ".gesa") continue;
+        std::ifstream is(entry.path(), std::ios::binary);
+        const EssEstimator original = EssEstimator::restore(is, stop);
+        is.close();
+        ChainConfig cc;
+        cc.seed = 5;
+        auto chain = make_chain(ChainAlgorithm::kSeqES, test_graph(100, 400, 5), cc);
+        EssEstimator foreign(*chain, stop, adaptive_max_thinning(c.max_supersteps) / 2);
+        for (std::uint64_t s = 0; s < original.supersteps(); ++s) {
+            chain->run_supersteps(1);
+            foreign.observe(*chain);
+        }
+        std::ofstream os(entry.path(), std::ios::binary | std::ios::trunc);
+        foreign.save(os);
+        ++replaced;
+    }
+    ASSERT_EQ(replaced, static_cast<int>(ref.replicates.size()));
+
+    const fs::path dir2 = scratch_dir("adaptive_foreign_ladder_resume");
+    PipelineConfig resume = adaptive_test_config(dir2);
+    resume.checkpoint_every = 4;
+    resume.resume_from = dir.string();
+    const RunReport again = run_pipeline(resume);
+    ASSERT_TRUE(all_succeeded(again));
+    for (std::uint64_t r = 0; r < ref.replicates.size(); ++r) {
+        EXPECT_EQ(again.replicates[r].resumed_supersteps, 0u);
+        EXPECT_EQ(again.replicates[r].realized_supersteps,
+                  ref.replicates[r].realized_supersteps);
         EXPECT_EQ(slurp(ref.replicates[r].output_path),
                   slurp(again.replicates[r].output_path))
             << "replicate " << r;

@@ -1,12 +1,12 @@
 // Tests for the analysis module: G2/BIC independence test, thinning
 // tracker, mixing-curve driver, and proxy metrics.
+#include "fake_chains.hpp"
+
 #include "analysis/autocorrelation.hpp"
 #include "analysis/convergence.hpp"
 #include "analysis/proxy_metrics.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
-#include "rng/bounded.hpp"
-#include "rng/mt19937_64.hpp"
 
 #include <gtest/gtest.h>
 
@@ -67,33 +67,8 @@ TEST(Thinning, DefaultLadder) {
 
 // ------------------------------------------------------- tracker on chains
 
-/// A fake chain whose edges flip deterministically or stay constant —
-/// lets us validate the tracker without Markov-chain noise.
-class ScriptedChain final : public Chain {
-public:
-    explicit ScriptedChain(int period) : period_(period) {
-        graph_ = EdgeList::from_pairs(4, {Edge{0, 1}, Edge{2, 3}});
-    }
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver*, std::uint64_t) override {
-        step_ += count;
-    }
-    [[nodiscard]] ChainState snapshot() const override { return {}; }
-    [[nodiscard]] const EdgeList& graph() const override { return graph_; }
-    [[nodiscard]] bool has_edge(edge_key_t key) const override {
-        if (key == edge_key(0, 1)) return true; // constant edge
-        // The other edge alternates presence with the given period.
-        return (step_ / period_) % 2 == 0;
-    }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "Scripted"; }
-
-private:
-    EdgeList graph_;
-    ChainStats stats_;
-    int period_;
-    std::uint64_t step_ = 0;
-};
+using testing_fakes::IidChain;
+using testing_fakes::ScriptedChain;
 
 TEST(Tracker, PeriodicEdgeIsMarkovAtFineThinning) {
     // Period-8 square wave: at thinning 1 the series is sticky (Markov);
@@ -110,28 +85,6 @@ TEST(Tracker, PeriodicEdgeIsMarkovAtFineThinning) {
 
 TEST(Tracker, IidEdgesAreIndependent) {
     // A chain whose tracked edge states are freshly random each superstep.
-    class IidChain final : public Chain {
-    public:
-        IidChain() : gen_(7) { graph_ = EdgeList::from_pairs(4, {Edge{0, 1}, Edge{2, 3}}); }
-        using Chain::run_supersteps;
-        void run_supersteps(std::uint64_t, RunObserver*, std::uint64_t) override {
-            state0_ = uniform_bit(gen_);
-            state1_ = uniform_bit(gen_);
-        }
-        [[nodiscard]] ChainState snapshot() const override { return {}; }
-        [[nodiscard]] const EdgeList& graph() const override { return graph_; }
-        [[nodiscard]] bool has_edge(edge_key_t key) const override {
-            return key == edge_key(0, 1) ? state0_ : state1_;
-        }
-        [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-        [[nodiscard]] std::string name() const override { return "Iid"; }
-
-    private:
-        EdgeList graph_;
-        ChainStats stats_;
-        mutable Mt19937_64 gen_;
-        bool state0_ = true, state1_ = false;
-    };
     IidChain chain;
     ThinningAutocorrelation tracker(chain, {1, 2}, ThinningAutocorrelation::Track::kInitialEdges);
     for (int step = 0; step < 600; ++step) {
